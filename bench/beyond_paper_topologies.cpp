@@ -9,7 +9,6 @@
 
 #include "rtv/ipcmos/topologies.hpp"
 #include "rtv/sim/simulator.hpp"
-#include "rtv/verify/report.hpp"
 
 using namespace rtv;
 using namespace rtv::ipcmos;
@@ -48,10 +47,11 @@ int main() {
   {
     ExperimentConfig cfg;  // default wave cap: the fork needs the precision
     cfg.verify.max_states = 4'000'000;
-    const VerificationResult r = verify_fork(cfg);
+    const EngineResult r = verify_fork(cfg);
+    const RefineEngineStats& st = std::get<RefineEngineStats>(r.stats);
     std::printf("  fork: %s, %d refinements, %.1f s, %zu composed states\n",
-                to_string(r.verdict), r.refinements, r.seconds,
-                r.composed_states);
+                to_string(r.verdict), st.refinements, r.seconds,
+                st.composed_states);
   }
   {
     // The join is the stress case of this repository: two *independent*
@@ -61,10 +61,11 @@ int main() {
     ExperimentConfig cfg;
     cfg.verify.max_states = 1'200'000;
     cfg.verify.max_refinements = 12;
-    const VerificationResult r = verify_join(cfg);
+    const EngineResult r = verify_join(cfg);
+    const RefineEngineStats& st = std::get<RefineEngineStats>(r.stats);
     std::printf("  join: %s, %d refinements, %.1f s, %zu composed states\n",
-                to_string(r.verdict), r.refinements, r.seconds,
-                r.composed_states);
+                to_string(r.verdict), st.refinements, r.seconds,
+                st.composed_states);
     if (!r.verified()) {
       std::printf("        (budgeted run: %s; the fork result and the\n"
                   "         simulation above cover the multi-channel claim)\n",

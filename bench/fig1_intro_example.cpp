@@ -14,11 +14,11 @@
 #include "rtv/timing/orderings.hpp"
 #include "rtv/verify/report.hpp"
 #include "rtv/ts/gallery.hpp"
-#include "rtv/zone/zone_graph.hpp"
 
 using namespace rtv;
 
 int main() {
+  const Engine& refine = *engine_registry().find("refine");
   const Module sys = gallery::intro_example();
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
@@ -37,19 +37,21 @@ int main() {
       stripped.set_event_delay(EventId(static_cast<EventId::underlying_type>(i)),
                                DelayInterval::unbounded());
     const Module untimed_sys("intro-untimed", std::move(stripped));
-    const VerificationResult u = verify_modules({&untimed_sys, &mon}, {&bad});
+    const EngineResult u =
+        refine.run({.modules = {&untimed_sys, &mon}, .properties = {&bad}});
     std::printf("untimed check: %s (as in Fig. 1(a): d can fire before g)\n",
                 u.verdict == Verdict::kViolated ? "VIOLATED"
                                                 : to_string(u.verdict));
   }
 
   // ...the exact timed state space satisfies it...
-  const ZoneVerifyResult z = zone_verify({&sys, &mon}, {&bad});
+  const EngineRequest req{.modules = {&sys, &mon}, .properties = {&bad}};
+  const EngineResult z = engine_registry().find("zone")->run(req);
   std::printf("exact timed check (zone graph): %s\n\n",
-              z.violated ? "VIOLATED" : "satisfied");
+              z.violated() ? "VIOLATED" : "satisfied");
 
   // ...and the iterative relative-timing flow proves it.
-  const VerificationResult r = verify_modules({&sys, &mon}, {&bad});
+  const EngineResult r = refine.run(req);
   std::printf("%s\n", format_report("relative-timing flow", r).c_str());
 
   // Fig. 2(c,d): causal event structure of the canonical failure trace
@@ -73,5 +75,5 @@ int main() {
     std::printf("derived timing arcs:\n%s\n",
                 format_ces_orderings(ces, orderings).c_str());
   }
-  return r.verified() && !z.violated ? 0 : 1;
+  return r.verified() && !z.violated() ? 0 : 1;
 }

@@ -7,9 +7,8 @@
 #include "rtv/ipcmos/experiments.hpp"
 #include "rtv/timing/maxsep.hpp"
 #include "rtv/ts/gallery.hpp"
-#include "rtv/verify/refinement.hpp"
+#include "rtv/verify/engine.hpp"
 #include "rtv/zone/dbm.hpp"
-#include "rtv/zone/zone_graph.hpp"
 
 namespace {
 
@@ -74,8 +73,9 @@ void BM_VerifyIntroRelativeTiming(benchmark::State& state) {
   const Module sys = gallery::intro_example();
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
+  const EngineRequest req{.modules = {&sys, &mon}, .properties = {&bad}};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(verify_modules({&sys, &mon}, {&bad}));
+    benchmark::DoNotOptimize(engine_registry().find("refine")->run(req));
   }
 }
 BENCHMARK(BM_VerifyIntroRelativeTiming);
@@ -84,15 +84,18 @@ void BM_VerifyIntroZone(benchmark::State& state) {
   const Module sys = gallery::intro_example();
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
+  const EngineRequest req{.modules = {&sys, &mon}, .properties = {&bad}};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(zone_verify({&sys, &mon}, {&bad}));
+    benchmark::DoNotOptimize(engine_registry().find("zone")->run(req));
   }
 }
 BENCHMARK(BM_VerifyIntroZone);
 
 void BM_Experiment1(benchmark::State& state) {
+  const Suite table1 = ipcmos::table1_suite();
+  const EngineRequest req = table1.obligations()[0].request();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(experiment1());
+    benchmark::DoNotOptimize(engine_registry().find("refine")->run(req));
   }
 }
 BENCHMARK(BM_Experiment1);

@@ -92,8 +92,7 @@ int main(int argc, char** argv) {
     DiscreteVerifyOptions opts;
     opts.jobs = jobs;
     const auto t0 = std::chrono::steady_clock::now();
-    const DiscreteVerifyResult r =
-        discrete_explore(comp.ts, props, comp.chokes, opts);
+    const EngineResult r = discrete_explore(comp.ts, props, comp.chokes, opts);
     return std::pair<double, std::size_t>(seconds_since(t0),
                                           r.states_explored);
   };

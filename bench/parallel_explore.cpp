@@ -127,19 +127,18 @@ int main() {
       DiscreteVerifyOptions opts;
       opts.jobs = jobs;
       const auto t0 = std::chrono::steady_clock::now();
-      const DiscreteVerifyResult r =
-          discrete_explore(comp.ts, props, comp.chokes, opts);
+      const EngineResult r = discrete_explore(comp.ts, props, comp.chokes, opts);
       const double wall = seconds_since(t0);
       if (jobs == 1) {
         base = wall;
         base_states = r.states_explored;
-        base_violated = r.violated;
+        base_violated = r.violated();
       }
-      if (r.states_explored != base_states || r.violated != base_violated)
+      if (r.states_explored != base_states || r.violated() != base_violated)
         consistent = false;
       std::printf("%6zu %12.3f %9.2fx %12zu   %s\n", jobs, wall,
                   wall > 0 ? base / wall : 0.0, r.states_explored,
-                  r.violated ? "VIOLATED" : "verified");
+                  r.violated() ? "VIOLATED" : "verified");
       std::fflush(stdout);
     }
   }

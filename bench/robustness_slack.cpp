@@ -55,9 +55,11 @@ int main() {
     for (double v = s.from; v <= s.to + 1e-9; v += s.step) {
       ExperimentConfig cfg;
       s.set(cfg.timing.stage, v);
-      const VerificationResult r = experiment5(cfg);
+      const Suite table1 = table1_suite(cfg);
+      const EngineResult r =
+          engine_registry().find("refine")->run(table1.obligations()[4].request());
       std::printf("  %6.2f : %s (%d refinements)\n", v, to_string(r.verdict),
-                  r.refinements);
+                  std::get<RefineEngineStats>(r.stats).refinements);
       if (r.verified()) {
         last_ok = v;
       } else if (first_bad < 0) {

@@ -6,54 +6,49 @@
 // runs both engines on the same obligations and reports cost and verdict
 // agreement — the zone engine doubles as the ground truth.
 #include <cstdio>
+#include <optional>
 
-#include "rtv/circuit/invariants.hpp"
 #include "rtv/ipcmos/experiments.hpp"
 #include "rtv/ts/gallery.hpp"
-#include "rtv/zone/zone_graph.hpp"
 
 using namespace rtv;
 using namespace rtv::ipcmos;
 
 int main() {
   bool agree = true;
+  const Engine& refine = *engine_registry().find("refine");
+  const Engine& zone = *engine_registry().find("zone");
 
   std::printf("%-34s %12s %12s %10s %10s %8s\n", "system", "rt-verdict",
               "zone-verdict", "rt-states", "zones", "agree");
+
+  // Both engines on one request; `expect_ok` (when set) is the known answer.
+  const auto compare = [&](const char* name, const EngineRequest& req,
+                           std::optional<bool> expect_ok) {
+    const EngineResult rt = refine.run(req);
+    const EngineResult zn = zone.run(req);
+    const bool ok = (rt.verdict == Verdict::kVerified) == !zn.violated() &&
+                    (!expect_ok || !zn.violated() == *expect_ok);
+    agree = agree && ok;
+    std::printf("%-34s %12s %12s %10zu %10zu %8s\n", name, to_string(rt.verdict),
+                zn.violated() ? "violated" : "holds", rt.states_explored,
+                zn.states_explored, ok ? "yes" : "NO");
+  };
 
   // Intro example.
   {
     const Module sys = gallery::intro_example();
     const Module mon = gallery::order_monitor("g", "d");
     const InvariantProperty bad("g before d", {{"fail", true}});
-    const VerificationResult rt = verify_modules({&sys, &mon}, {&bad});
-    const ZoneVerifyResult zn = zone_verify({&sys, &mon}, {&bad});
-    const bool ok = (rt.verdict == Verdict::kVerified) == !zn.violated;
-    agree = agree && ok;
-    std::printf("%-34s %12s %12s %10zu %10zu %8s\n", "intro example",
-                to_string(rt.verdict), zn.violated ? "violated" : "holds",
-                rt.final_states_explored, zn.zones_explored, ok ? "yes" : "NO");
+    compare("intro example", {.modules = {&sys, &mon}, .properties = {&bad}},
+            std::nullopt);
   }
 
-  // 1-stage IPCMOS pipeline, correct timing.
+  // 1-stage IPCMOS pipeline (Table 1's experiment 5) under three timings.
   const auto run_stage = [&](const char* name, const ExperimentConfig& cfg,
                              bool expect_ok) {
-    const VerificationResult rt = experiment5(cfg);
-    const ModuleSet set = flat_pipeline(1, cfg.timing);
-    const Netlist nl =
-        make_stage_netlist("I1", linear_channels(1), cfg.timing.stage);
-    const auto scs = short_circuit_properties(nl);
-    const DeadlockFreedom dead;
-    const PersistencyProperty pers;
-    std::vector<const SafetyProperty*> props{&dead, &pers};
-    for (const auto& p : scs) props.push_back(p.get());
-    const ZoneVerifyResult zn = zone_verify(set.ptrs, props);
-    const bool ok = (rt.verdict == Verdict::kVerified) == !zn.violated &&
-                    (!zn.violated == expect_ok);
-    agree = agree && ok;
-    std::printf("%-34s %12s %12s %10zu %10zu %8s\n", name, to_string(rt.verdict),
-                zn.violated ? "violated" : "holds", rt.final_states_explored,
-                zn.zones_explored, ok ? "yes" : "NO");
+    const Suite table1 = table1_suite(cfg);
+    compare(name, table1.obligations()[4].request(), expect_ok);
   };
 
   ExperimentConfig good;

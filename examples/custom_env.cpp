@@ -75,10 +75,8 @@ int main(int argc, char** argv) {
   std::vector<const SafetyProperty*> props{&dead, &pers};
   for (const auto& p : scs) props.push_back(p.get());
 
-  const VerificationResult r = verify_modules({&env, &stage, &out}, props);
+  const EngineResult r = engine_registry().find("refine")->run(
+      {.modules = {&env, &stage, &out}, .properties = props});
   std::printf("%s", format_report("stage against custom environment", r).c_str());
-  if (!r.verified() && r.counterexample) {
-    std::printf("\ncounterexample detail:\n%s\n", r.counterexample_text.c_str());
-  }
   return r.verified() ? 0 : 1;
 }

@@ -11,7 +11,6 @@
 
 #include "rtv/ts/gallery.hpp"
 #include "rtv/verify/engine.hpp"
-#include "rtv/verify/refinement.hpp"
 #include "rtv/verify/report.hpp"
 
 using namespace rtv;
@@ -27,10 +26,11 @@ int main() {
   const Module monitor = gallery::order_monitor("g", "d");
   const InvariantProperty property("g before d", {{"fail", true}});
 
-  // 3. Run the flow: compose, search failures, prove each failure
-  //    timing-inconsistent, refine with the derived constraint, repeat.
-  const VerificationResult result =
-      verify_modules({&system, &monitor}, {&property});
+  // 3. Run the flow on the "refine" engine: compose, search failures,
+  //    prove each failure timing-inconsistent, refine with the derived
+  //    constraint, repeat.
+  EngineRequest req{.modules = {&system, &monitor}, .properties = {&property}};
+  const EngineResult result = engine_registry().find("refine")->run(req);
 
   std::printf("%s", format_report("quickstart", result).c_str());
   std::printf("\nrelative timing constraints sufficient for correctness:\n%s",
@@ -41,16 +41,14 @@ int main() {
     std::printf("verification failed: %s\n", result.message.c_str());
     return 1;
   }
-  std::printf("\nverified in %d refinement iterations.\n", result.refinements);
+  std::printf("\nverified in %d refinement iterations.\n",
+              std::get<RefineEngineStats>(result.stats).refinements);
 
   // 5. The same obligation through the unified engine seam: every engine
   //    in engine_registry() (relative timing, dense-time zones, digitized
   //    time) answers with the same three-valued Verdict, under a shared
   //    budget (state cap + wall-clock deadline + cancellation).
   std::printf("\ncross-checking with every registered engine:\n");
-  EngineRequest req;
-  req.modules = {&system, &monitor};
-  req.properties = {&property};
   req.budget.max_seconds = 10.0;  // generous deadline, same for all engines
   for (const Engine* engine : engine_registry().engines()) {
     const EngineResult r = engine->run(req);

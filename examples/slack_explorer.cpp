@@ -69,12 +69,12 @@ int main(int argc, char** argv) {
     const Time hi = ticks_from_units(v);
     if (hi < lo) continue;
     *target = DelayInterval(lo, hi);
-    const VerificationResult r = experiment5(cfg);
+    const Suite table1 = table1_suite(cfg);
+    const EngineResult r =
+        engine_registry().find("refine")->run(table1.obligations()[4].request());
     std::printf("  %s = [%.2f, %.2f] : %s", param.c_str(),
                 units_from_ticks(lo), v, to_string(r.verdict));
-    if (!r.verified() && !r.counterexample_text.empty()) {
-      std::printf("  (%s)", r.message.c_str());
-    }
+    if (r.violated()) std::printf("\n    %s", r.message.c_str());
     std::printf("\n");
     if (r.verified()) {
       last_ok = v;

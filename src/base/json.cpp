@@ -264,4 +264,26 @@ const Value& require(const Value& obj, std::string_view key, Value::Kind kind,
   return *v;
 }
 
+void check_envelope(const Value& root, std::string_view schema_name,
+                    int schema_version, std::string_view context) {
+  const std::string ctx(context);
+  if (root.kind != Value::Kind::kObject)
+    throw std::runtime_error(ctx + ": root is not an object");
+  if (require(root, "schema", Value::Kind::kString, "schema tag", context)
+          .string != schema_name)
+    throw std::runtime_error(ctx + ": wrong schema tag");
+  const int version = static_cast<int>(
+      require(root, "schema_version", Value::Kind::kNumber, "schema version",
+              context)
+          .number);
+  if (version > schema_version)
+    throw std::runtime_error(
+        ctx + ": schema version " + std::to_string(version) +
+        " is newer than this library supports (max " +
+        std::to_string(schema_version) + ")");
+  if (version < 1)
+    throw std::runtime_error(ctx + ": invalid schema version " +
+                             std::to_string(version));
+}
+
 }  // namespace rtv::json

@@ -37,8 +37,11 @@ std::uint64_t monotonic_epoch_ns() {
 
 void log_line(LogLevel level, const std::string& message) {
   if (static_cast<int>(level) < static_cast<int>(log_level())) return;
-  const double up =
-      static_cast<double>(obs::monotonic_ns() - monotonic_epoch_ns()) * 1e-9;
+  // The epoch is initialised lazily on first use, so read it before "now":
+  // in one expression the two calls are unsequenced, and reading "now"
+  // first made the first line of every process underflow.
+  const std::uint64_t epoch = monotonic_epoch_ns();
+  const double up = static_cast<double>(obs::monotonic_ns() - epoch) * 1e-9;
   const std::time_t wall = std::chrono::system_clock::to_time_t(
       std::chrono::system_clock::now());
   std::tm tm{};

@@ -56,4 +56,12 @@ Value parse(const std::string& text, std::string_view context);
 const Value& require(const Value& obj, std::string_view key, Value::Kind kind,
                      const char* what, std::string_view context);
 
+/// Strict schema envelope of the versioned documents (suite and lint
+/// reports, serve messages): `root` must be an object whose "schema" tag
+/// equals `schema_name` and whose "schema_version" lies in
+/// [1, schema_version].  Throws std::runtime_error prefixed with `context`,
+/// naming both versions when the document is newer than this library.
+void check_envelope(const Value& root, std::string_view schema_name,
+                    int schema_version, std::string_view context);
+
 }  // namespace rtv::json

@@ -14,41 +14,30 @@
 // stage is present.
 #pragma once
 
+#include <cstddef>
+
 #include "rtv/ipcmos/pipeline.hpp"
-#include "rtv/verify/refinement.hpp"
 #include "rtv/verify/suite.hpp"
 
 namespace rtv::ipcmos {
 
 struct ExperimentConfig {
   PipelineTiming timing;
-  VerifyOptions verify;
+  /// Per-obligation budget.  Zero state and time caps inherit the
+  /// suite-wide SuiteOptions budget (e.g. the CLI's --max-states/--timeout).
+  struct Budget {
+    std::size_t max_refinements = 500;
+    std::size_t max_states = 0;
+    double max_seconds = 0.0;
+  } verify;
 };
 
-VerificationResult experiment1(const ExperimentConfig& cfg = {});
-VerificationResult experiment2(const ExperimentConfig& cfg = {});
-VerificationResult experiment3(const ExperimentConfig& cfg = {});
-VerificationResult experiment4(const ExperimentConfig& cfg = {});
-VerificationResult experiment5(const ExperimentConfig& cfg = {});
-
-/// All five in order, with the paper's row labels.
-struct NamedResult {
-  std::string name;
-  VerificationResult result;
-};
-std::vector<NamedResult> run_all_experiments(const ExperimentConfig& cfg = {});
-
-/// The five Table 1 obligations as a declarative batch: the suite owns the
-/// pipeline modules, containment monitors and property bundles, so it can
-/// be handed straight to run_suite() — obligations in parallel, any engine
-/// selection, machine-readable report.  Obligation names match
-/// run_all_experiments().
+/// The five Table 1 obligations as a declarative batch, in the paper's
+/// order and with its row labels ("1. Ain || Aout |= S", ...).  The suite
+/// owns the pipeline modules, containment monitors and property bundles,
+/// so it can be handed straight to run_suite() (obligations in parallel,
+/// any engine selection, machine-readable report) or its obligations run
+/// one at a time through Engine::run.
 Suite table1_suite(const ExperimentConfig& cfg = {});
-
-/// Flat (no abstraction) verification of an n-stage pipeline:
-/// IN || I1 || ... || In || OUT |= S.  Used by the scaling bench to
-/// reproduce the paper's observation that flat verification is impractical
-/// beyond ~2 stages.
-VerificationResult flat_experiment(int n_stages, const ExperimentConfig& cfg = {});
 
 }  // namespace rtv::ipcmos

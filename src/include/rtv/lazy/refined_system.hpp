@@ -80,9 +80,9 @@ class RefinedSystem {
 
   /// Cap on tracked waves: beyond it the two oldest waves merge with
   /// weaker-bound joins (sound — the merged instant covers both).  Smaller
-  /// caps bound the refined state space at the cost of justification
-  /// precision.
-  void set_max_waves(std::size_t n) { max_waves_ = n; }
+  /// caps would bound the refined state space at the cost of justification
+  /// precision; the IPCMOS fork needs at least this much.
+  static constexpr std::size_t kMaxWaves = 6;
 
   /// Activate the ordering "before fires before after while both pending".
   /// Returns false if the pair was already active.
@@ -123,7 +123,6 @@ class RefinedSystem {
   std::unordered_map<StateId::underlying_type, std::vector<EventId>> chokes_;
   bool age_rule_ = false;
   Time cap_ = 1;
-  std::size_t max_waves_ = 6;
 };
 
 /// Materialised refined system, for inspection and statistics (the paper's

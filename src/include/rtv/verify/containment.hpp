@@ -7,16 +7,20 @@
 // the relative-timing flow then tries to prove timing-impossible.
 #pragma once
 
-#include "rtv/verify/refinement.hpp"
+#include <vector>
+
+#include "rtv/verify/engine.hpp"
 
 namespace rtv {
 
 /// Verify  (|| system)  <=  abstraction  restricted to the abstraction's
-/// alphabet.  Extra properties (e.g. deadlock-freedom of the closed system)
-/// can be checked in the same run.
-VerificationResult check_containment(
+/// alphabet, on the "refine" engine.  Extra properties (e.g.
+/// deadlock-freedom of the closed system) are checked in the same run.
+/// `request` supplies the budget, jobs and iteration cap; its modules and
+/// properties are replaced, and refusals are always tracked.
+EngineResult check_containment(
     const std::vector<const Module*>& system, const Module& abstraction,
     const std::vector<const SafetyProperty*>& extra_properties = {},
-    const VerifyOptions& options = {});
+    EngineRequest request = {});
 
 }  // namespace rtv

@@ -15,9 +15,10 @@
 // "discrete"), so callers — the CLI, benches, parity tests, future
 // sharded backends — enumerate and swap them generically.
 //
-// Adding a backend is a one-file drop-in: subclass Engine, map your
-// native options/result to EngineRequest/EngineResult, and register an
-// instance (see docs/API.md).
+// The request is the only input and the result the only output of every
+// built-in engine.  Adding a backend is a one-file drop-in: subclass
+// Engine, map EngineRequest/EngineResult onto your search, and register
+// an instance (see docs/API.md).
 #pragma once
 
 #include <atomic>
@@ -30,6 +31,7 @@
 #include <variant>
 #include <vector>
 
+#include "rtv/timing/trace_timing.hpp"
 #include "rtv/ts/module.hpp"
 #include "rtv/verify/property.hpp"
 
@@ -49,13 +51,13 @@ enum class Verdict {
   kVerified,
   kViolated,
   kInconclusive,
-  /// Deprecated historical alias from the refinement flow, where a
-  /// violation always comes with a concrete timed counterexample trace.
-  /// Use kViolated; this alias will be removed in a future release.
-  kCounterexample [[deprecated("use Verdict::kViolated")]] = kViolated,
 };
 
 const char* to_string(Verdict v);
+
+/// Inverse of to_string(Verdict) for the report parsers; throws
+/// std::runtime_error "<context>: unknown verdict '<s>'" on anything else.
+Verdict verdict_from_string(std::string_view s, std::string_view context);
 
 // ---------------------------------------------------------------------------
 // Budgets, cancellation, progress.
@@ -75,12 +77,18 @@ class CancelToken {
   std::atomic<bool> flag_{false};
 };
 
+/// Native state budgets, used when RunBudget::max_states is 0: refined
+/// states for "refine", zones for "zone", and integer-age configs for
+/// "discrete" (whose unit is much finer).
+inline constexpr std::size_t kDefaultMaxStates = 2'000'000;
+inline constexpr std::size_t kDefaultMaxConfigs = 4'000'000;
+
 /// Resource limits shared by every engine.  Exceeding any limit stops the
 /// run early with Verdict::kInconclusive and a stop_reason.
 struct RunBudget {
   /// Cap on explored states (composed states / zones / digitized configs —
   /// each engine counts its own exploration unit).  0 keeps the engine's
-  /// native default (2M states/zones for refine/zone, 4M configs for
+  /// native default (kDefaultMaxStates, or kDefaultMaxConfigs for
   /// discrete).
   std::size_t max_states = 0;
   /// Wall-clock deadline in seconds; 0 means no deadline.
@@ -164,14 +172,16 @@ class RunClock {
 // Request / result.
 // ---------------------------------------------------------------------------
 
-/// One verification obligation, engine-agnostic.
+/// One verification obligation, engine-agnostic.  Every member has a
+/// default, so a request can be written with designated initializers:
+/// `engine.run({.modules = {&a, &b}, .properties = {&p}})`.
 struct EngineRequest {
   /// Modules composed CSP-style over shared labels (monitors included).
-  std::vector<const Module*> modules;
-  std::vector<const SafetyProperty*> properties;
-  RunBudget budget;
+  std::vector<const Module*> modules{};
+  std::vector<const SafetyProperty*> properties{};
+  RunBudget budget{};
   /// Invoked every progress_interval explored states when set.
-  ProgressFn progress;
+  ProgressFn progress{};
   std::size_t progress_interval = kDefaultProgressInterval;
   /// Track refused outputs (chokes) for containment checking.
   bool track_chokes = true;
@@ -184,13 +194,30 @@ struct EngineRequest {
   std::size_t jobs = 1;
 };
 
+/// One refinement iteration: the failure that was found and the relative
+/// timing information that removed it.
+struct RefinementRecord {
+  int iteration = 0;
+  std::string failure;                       ///< description of the violation
+  std::vector<std::string> window_labels;    ///< banned window (event labels)
+  bool from_start = false;
+  bool used_window = false;                  ///< window ban vs ordering pairs
+  std::string anchor;                        ///< anchor description
+  std::vector<DerivedOrdering> orderings;    ///< back-annotated constraints
+};
+
 /// Engine-specific statistics, carried alongside the common fields.
 struct RefineEngineStats {
   int refinements = 0;
   std::size_t composed_states = 0;
   /// Back-annotated relative timing constraints ("a before b"), the
-  /// paper's Fig. 13 deliverable.
+  /// paper's Fig. 13 deliverable: orderings(), rendered.
   std::vector<std::string> constraints;
+  /// Per-iteration log of the refinement loop.
+  std::vector<RefinementRecord> records;
+
+  /// Union of the records' back-annotated orderings, sorted, deduplicated.
+  std::vector<DerivedOrdering> orderings() const;
 };
 
 /// For zone/discrete, EngineResult::states_explored already counts the

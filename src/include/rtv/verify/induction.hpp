@@ -9,7 +9,8 @@
 //
 // where `left_abstraction` is the abstraction instantiated at the
 // component's left boundary (the induction hypothesis) and `context`
-// closes the right side.  Both checks run the full relative-timing flow.
+// closes the right side.  Both checks run the full relative-timing flow
+// (check_containment() on the "refine" engine).
 #pragma once
 
 #include "rtv/verify/containment.hpp"
@@ -17,8 +18,8 @@
 namespace rtv {
 
 struct InductionResult {
-  VerificationResult base;
-  VerificationResult step;
+  EngineResult base;
+  EngineResult step;
 
   bool proved() const {
     return base.verdict == Verdict::kVerified &&
@@ -33,6 +34,6 @@ InductionResult prove_fixed_point(
     const Module& base_env, const Module& left_abstraction,
     const Module& component, const Module& context, const Module& abstraction,
     const std::vector<const SafetyProperty*>& properties = {},
-    const VerifyOptions& options = {});
+    const EngineRequest& request = {});
 
 }  // namespace rtv

@@ -9,85 +9,35 @@
 // Iterates until no failure remains (verified, with back-annotated relative
 // timing constraints), a timing-consistent failure is found (a true
 // counterexample), or the iteration budget is exhausted (inconclusive).
+//
+// The "refine" engine (rtv/verify/engine.hpp) composes the request's
+// modules and runs refine_explore() on the result; call the engine unless
+// you need the ablation knobs of RefineOptions.
 #pragma once
 
-#include <chrono>
-#include <memory>
-#include <optional>
-#include <string>
-#include <vector>
+#include <cstddef>
 
-#include "rtv/timing/trace_timing.hpp"
 #include "rtv/ts/compose.hpp"
-#include "rtv/ts/module.hpp"
 #include "rtv/verify/engine.hpp"
-#include "rtv/verify/property.hpp"
 
 namespace rtv {
 
-struct VerifyOptions {
-  std::size_t max_refinements = 500;
-  std::size_t max_states = 2'000'000;
-  bool track_chokes = true;
-  /// Wall-clock deadline in seconds; 0 means none.  Checked between
-  /// refinement iterations and inside the failure-search loop.
-  double max_seconds = 0.0;
-  /// Optional cooperative cancellation (not owned; may be null).
-  const CancelToken* cancel = nullptr;
-  /// Invoked every progress_interval explored states when set.
-  ProgressFn progress;
-  std::size_t progress_interval = kDefaultProgressInterval;
+/// Refine-only settings over and above EngineRequest; the "refine" engine
+/// runs the defaults.
+struct RefineOptions {
   /// Apply the structural relative-timing rule (see RefinedSystem) from the
-  /// first iteration.  Off reproduces the pure trace-by-trace flow.
+  /// first iteration.  Off reproduces the pure trace-by-trace flow (the
+  /// ablation of bench/ablation_structural).
   bool structural_rule = true;
-  /// Wave cap of the refined states' timing annotation (see
-  /// RefinedSystem::set_max_waves); smaller = coarser but cheaper.
-  std::size_t max_waves = 6;
-  /// Worker threads for the composition phase (0 = one per hardware
-  /// thread, 1 = sequential).  The refinement loop itself is sequential:
-  /// each iteration's failure search depends on the previous iteration's
-  /// derived constraints.
-  std::size_t jobs = 1;
 };
 
-/// One refinement iteration: the failure that was found and the relative
-/// timing information that removed it.
-struct RefinementRecord {
-  int iteration = 0;
-  std::string failure;                       ///< description of the violation
-  std::vector<std::string> window_labels;    ///< banned window (event labels)
-  bool from_start = false;
-  bool used_window = false;                  ///< window ban vs ordering pairs
-  std::string anchor;                        ///< anchor description
-  std::vector<DerivedOrdering> orderings;    ///< back-annotated constraints
-};
-
-struct VerificationResult {
-  Verdict verdict = Verdict::kInconclusive;
-  int refinements = 0;
-  std::optional<Trace> counterexample;
-  std::string counterexample_text;
-  /// Event labels of the counterexample (the virtual choked event, if any,
-  /// appended last); empty when there is no counterexample.
-  std::vector<std::string> counterexample_labels;
-  std::string message;
-  /// Non-empty iff a budget stopped the run early (see rtv::stop_reason);
-  /// the verdict is then kInconclusive.
-  std::string truncated_reason;
-  std::vector<RefinementRecord> records;
-  std::size_t composed_states = 0;
-  std::size_t final_states_explored = 0;
-  double seconds = 0.0;
-
-  bool verified() const { return verdict == Verdict::kVerified; }
-
-  /// Union of all back-annotated orderings, deduplicated.
-  std::vector<DerivedOrdering> constraints() const;
-};
-
-/// Run the full flow on the composition of `modules` against `properties`.
-VerificationResult verify_modules(const std::vector<const Module*>& modules,
-                                  const std::vector<const SafetyProperty*>& properties,
-                                  const VerifyOptions& options = {});
+/// The refinement loop over an already-built, untruncated composition.
+/// `request` supplies the properties, the iteration cap
+/// (max_refinements) and the state budget of each failure search
+/// (budget.max_states, 0 = kDefaultMaxStates); `clock` is the run's clock,
+/// so a composition built under it counts against the same deadline.
+EngineResult refine_explore(const Composition& comp,
+                            const EngineRequest& request, RunClock& clock,
+                            const RefineOptions& options = {});
 
 }  // namespace rtv

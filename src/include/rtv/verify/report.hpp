@@ -3,24 +3,26 @@
 // Fig. 13 deliverable) and experiment summary tables (Table 1).
 //
 // The tables are built on the batch-verification records of
-// rtv/verify/suite.hpp: a SuiteReport renders directly, and the legacy
-// ExperimentRow entry points feed the same aligned-table renderer.
+// rtv/verify/suite.hpp: a SuiteReport renders directly, and ExperimentRow
+// summaries of single engine results feed the same aligned-table renderer.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "rtv/verify/refinement.hpp"
+#include "rtv/verify/engine.hpp"
 #include "rtv/verify/suite.hpp"
 
 namespace rtv {
 
-/// Full textual report of one verification run.
+/// Full textual report of one verification run; a "refine" run adds its
+/// refinement count, composed states and per-iteration log.
 std::string format_report(const std::string& title,
-                          const VerificationResult& result);
+                          const EngineResult& result);
 
-/// Only the deduplicated relative timing constraints.
-std::string format_constraints(const VerificationResult& result);
+/// Only the deduplicated relative timing constraints, one per line (empty
+/// unless the result carries RefineEngineStats).
+std::string format_constraints(const EngineResult& result);
 
 /// A Table-1-style summary row: name, verdict, CPU time, refinements.
 struct ExperimentRow {
@@ -30,8 +32,6 @@ struct ExperimentRow {
   int refinements = 0;
   std::size_t states = 0;
 };
-
-ExperimentRow summarize(const std::string& name, const VerificationResult& r);
 
 /// Summary of a unified engine result: refinement count from
 /// RefineEngineStats when present (0 otherwise), states from

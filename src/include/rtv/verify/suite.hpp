@@ -61,6 +61,11 @@ struct Obligation {
   /// Refinement-engine iteration cap; exact engines ignore it.
   std::size_t max_refinements = 500;
   bool track_chokes = true;
+
+  /// The request of a standalone Engine::run of this obligation: its
+  /// modules, properties, budget (zero fields keep the engine's native
+  /// defaults), iteration cap and choke tracking.
+  EngineRequest request() const;
 };
 
 /// A declarative batch of obligations plus the storage keeping their

@@ -22,57 +22,29 @@
 
 namespace rtv {
 
+/// What the digitized search needs over an already-built system; the
+/// "discrete" engine fills it from its EngineRequest.
 struct DiscreteVerifyOptions {
   /// Hard ceiling on explored (location, valuation) configs, enforced at
   /// insertion: the run never retains more configs than this.
-  std::size_t max_states = 4'000'000;
-  bool track_chokes = true;
+  std::size_t max_states = kDefaultMaxConfigs;
   /// Worker threads for the digitized BFS (0 = one per hardware thread,
   /// 1 = sequential).  Verdicts, violation choice and counterexample
   /// traces are identical for every job count: exploration is
   /// layer-synchronous and the first violation in BFS order wins.
   std::size_t jobs = 1;
-  /// Wall-clock deadline in seconds; 0 means none.
-  double max_seconds = 0.0;
-  /// Optional cooperative cancellation (not owned; may be null).
-  const CancelToken* cancel = nullptr;
-  /// Invoked every progress_interval explored configs when set.
-  ProgressFn progress;
-  std::size_t progress_interval = kDefaultProgressInterval;
-  /// Advanced: share an external RunClock (deadline/cancel/progress state
-  /// and elapsed-seconds origin) instead of starting a fresh one —
-  /// discrete_verify uses this so composition time counts against the
-  /// budget.
+  /// The run's clock (deadline, cancellation, progress, elapsed-seconds
+  /// origin), so a composition built under it counts against the same
+  /// budget.  Null runs without a deadline.
   RunClock* clock = nullptr;
 };
 
-struct DiscreteVerifyResult {
-  bool violated = false;
-  bool truncated = false;
-  std::string truncated_reason;      ///< why, when truncated
-  std::string description;
-  /// Event labels leading to the violation (delay ticks are implicit, as
-  /// in the zone engine's traces); empty when not violated.
-  std::vector<std::string> trace_labels;
-  std::size_t states_explored = 0;   ///< (location, valuation) pairs
-  std::size_t discrete_states = 0;   ///< distinct locations reached
-  double seconds = 0.0;
-
-  /// The unified three-valued verdict: a truncated run is never verified.
-  Verdict verdict() const {
-    if (violated) return Verdict::kViolated;
-    return truncated ? Verdict::kInconclusive : Verdict::kVerified;
-  }
-};
-
-/// Digitized exploration of the composition of `modules`.
-DiscreteVerifyResult discrete_verify(
-    const std::vector<const Module*>& modules,
-    const std::vector<const SafetyProperty*>& properties,
-    const DiscreteVerifyOptions& options = {});
-
-/// Digitized exploration over an already-built system.
-DiscreteVerifyResult discrete_explore(
+/// Digitized exploration over an already-built, untruncated system,
+/// checking `properties` plus the containment `chokes`: the "discrete"
+/// engine's search.  states_explored counts (location, valuation) configs;
+/// trace_labels carry firings only (delay ticks are implicit, as in the
+/// zone engine's traces); the stats are DiscreteEngineStats.
+EngineResult discrete_explore(
     const TransitionSystem& ts,
     const std::vector<const SafetyProperty*>& properties,
     std::span<const ChokeRecord> chokes,

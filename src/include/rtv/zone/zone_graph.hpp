@@ -9,11 +9,13 @@
 //
 // This is the library's ground-truth engine: exponential in clocks, used to
 // cross-validate the relative-timing flow and to measure the cost it
-// avoids.
+// avoids.  The zone search stays sequential whatever EngineRequest::jobs
+// says (only composition is sharded): subsumption makes its exploration
+// order load-bearing.
 #pragma once
 
-#include <optional>
-#include <string>
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "rtv/ts/compose.hpp"
@@ -23,57 +25,14 @@
 
 namespace rtv {
 
-struct ZoneVerifyOptions {
-  /// Hard ceiling on stored zones, enforced at insertion (the initial zone
-  /// is always admitted): the run never stores more zones than this.
-  std::size_t max_zones = 2'000'000;
-  bool track_chokes = true;
-  /// Worker threads (0 = one per hardware thread, 1 = sequential).  Only
-  /// the composition phase is parallel today: the zone expansion itself
-  /// stays sequential because subsumption makes its exploration order
-  /// load-bearing (sharding it is future work), but the knob is plumbed
-  /// through so a parallel zone backend can slot in without API churn.
-  std::size_t jobs = 1;
-  /// Wall-clock deadline in seconds; 0 means none.
-  double max_seconds = 0.0;
-  /// Optional cooperative cancellation (not owned; may be null).
-  const CancelToken* cancel = nullptr;
-  /// Invoked every progress_interval explored zones when set.
-  ProgressFn progress;
-  std::size_t progress_interval = kDefaultProgressInterval;
-  /// Advanced: share an external RunClock (deadline/cancel/progress state
-  /// and elapsed-seconds origin) instead of starting a fresh one —
-  /// zone_verify uses this so composition time counts against the budget.
-  RunClock* clock = nullptr;
-};
-
-struct ZoneVerifyResult {
-  bool violated = false;
-  bool truncated = false;
-  std::string truncated_reason;            ///< why, when truncated
-  std::string description;                 ///< first violation found
-  std::vector<std::string> trace_labels;   ///< events leading to it
-  std::size_t zones_explored = 0;
-  std::size_t discrete_states = 0;         ///< distinct TTS states reached in time
-  double seconds = 0.0;
-
-  /// The unified three-valued verdict: a truncated run is never verified.
-  Verdict verdict() const {
-    if (violated) return Verdict::kViolated;
-    return truncated ? Verdict::kInconclusive : Verdict::kVerified;
-  }
-};
-
-/// Explore the timed state space of the composition of `modules`, checking
-/// `properties` plus containment chokes.
-ZoneVerifyResult zone_verify(const std::vector<const Module*>& modules,
-                             const std::vector<const SafetyProperty*>& properties,
-                             const ZoneVerifyOptions& options = {});
-
-/// Timed reachability over an already-built transition system.
-ZoneVerifyResult zone_explore(const TransitionSystem& ts,
-                              const std::vector<const SafetyProperty*>& properties,
-                              std::span<const ChokeRecord> chokes,
-                              const ZoneVerifyOptions& options = {});
+/// Timed reachability over an already-built, untruncated transition
+/// system, checking `properties` plus the containment `chokes`: the "zone"
+/// engine's search.  `max_zones` caps the stored zones (enforced at
+/// insertion, the initial zone always admitted); `clock` is the run's
+/// clock.  states_explored counts zones; the stats are ZoneEngineStats.
+EngineResult zone_explore(const TransitionSystem& ts,
+                          const std::vector<const SafetyProperty*>& properties,
+                          std::span<const ChokeRecord> chokes,
+                          std::size_t max_zones, RunClock& clock);
 
 }  // namespace rtv

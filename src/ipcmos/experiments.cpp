@@ -1,7 +1,6 @@
 #include "rtv/ipcmos/experiments.hpp"
 
 #include "rtv/circuit/invariants.hpp"
-#include "rtv/verify/containment.hpp"
 
 namespace rtv::ipcmos {
 
@@ -33,68 +32,6 @@ PropertySet stage_properties(int stage_index, const PipelineTiming& t) {
 
 }  // namespace
 
-VerificationResult experiment1(const ExperimentConfig& cfg) {
-  // A_in || A_out |= S: the abstractions at boundary 1, checked for
-  // deadlock-freedom; protocol conformance is structural (chokes).
-  const Module ain = make_ain(1);
-  const Module aout = make_aout(1);
-  PropertySet ps;
-  ps.add(std::make_unique<DeadlockFreedom>());
-  return verify_modules({&ain, &aout}, ps.ptrs, cfg.verify);
-}
-
-VerificationResult experiment2(const ExperimentConfig& cfg) {
-  // Guarantee A_out:  A_in || I || OUT  <=  A_out at boundary 1
-  // (Fig. 9(a); the checked output is ACK = A1).
-  const Module ain = make_ain(1);
-  const Module stage = make_stage(1, cfg.timing);
-  const Module out = make_out_env(1, cfg.timing);
-  const Module aout = make_aout(1);
-  PropertySet ps = stage_properties(1, cfg.timing);
-  return check_containment({&ain, &stage, &out}, aout, ps.ptrs, cfg.verify);
-}
-
-VerificationResult experiment3(const ExperimentConfig& cfg) {
-  // Guarantee A_in (induction base):  IN || I || A_out  <=  A_in at
-  // boundary 2 (Fig. 9(b); the checked output is VALID = V2).
-  const Module in = make_in_env(cfg.timing);
-  const Module stage = make_stage(1, cfg.timing);
-  const Module aout = make_aout(2);
-  const Module ain = make_ain(2);
-  PropertySet ps = stage_properties(1, cfg.timing);
-  return check_containment({&in, &stage, &aout}, ain, ps.ptrs, cfg.verify);
-}
-
-VerificationResult experiment4(const ExperimentConfig& cfg) {
-  // A_in is a behavioural fixed point:  A_in || I || A_out  <=  A_in at
-  // boundary 2 (Fig. 9(c)) — the induction step for any pipeline length.
-  const Module ain1 = make_ain(1);
-  const Module stage = make_stage(1, cfg.timing);
-  const Module aout = make_aout(2);
-  const Module ain2 = make_ain(2);
-  PropertySet ps = stage_properties(1, cfg.timing);
-  return check_containment({&ain1, &stage, &aout}, ain2, ps.ptrs, cfg.verify);
-}
-
-VerificationResult experiment5(const ExperimentConfig& cfg) {
-  // 1-stage pipeline with pulse-driven environments at both ends:
-  // IN || I || OUT |= S (Section 5).
-  return flat_experiment(1, cfg);
-}
-
-VerificationResult flat_experiment(int n_stages, const ExperimentConfig& cfg) {
-  const ModuleSet set = flat_pipeline(n_stages, cfg.timing);
-  PropertySet ps;
-  ps.add(std::make_unique<DeadlockFreedom>());
-  ps.add(std::make_unique<PersistencyProperty>());
-  for (int k = 1; k <= n_stages; ++k) {
-    const Netlist nl = make_stage_netlist("I" + std::to_string(k),
-                                          linear_channels(k), cfg.timing.stage);
-    for (auto& p : short_circuit_properties(nl)) ps.add(std::move(p));
-  }
-  return verify_modules(set.ptrs, ps.ptrs, cfg.verify);
-}
-
 Suite table1_suite(const ExperimentConfig& cfg) {
   Suite suite;
   // Transfer an owning property bundle into the suite, returning the views
@@ -106,20 +43,14 @@ Suite table1_suite(const ExperimentConfig& cfg) {
     return ptrs;
   };
   // Containment obligations run the abstraction as a passive monitor, the
-  // same construction as check_containment().
+  // same construction as check_containment() (rtv/verify/containment.hpp).
   const auto monitor_of = [&suite](Module abstraction) {
     const std::string name = abstraction.name() + "'";
     return suite.own(abstraction.as_monitor(name));
   };
   const auto configure = [&cfg](Obligation& ob) {
     ob.max_refinements = cfg.verify.max_refinements;
-    // Budget fields left at zero inherit the suite-wide SuiteOptions
-    // budget (e.g. the CLI's --max-states/--timeout); only a config that
-    // deviates from the VerifyOptions defaults pins a per-obligation
-    // override.  The engines' native 2M-state default already matches
-    // VerifyOptions'.
-    if (cfg.verify.max_states != VerifyOptions{}.max_states)
-      ob.budget.max_states = cfg.verify.max_states;
+    ob.budget.max_states = cfg.verify.max_states;
     ob.budget.max_seconds = cfg.verify.max_seconds;
   };
 
@@ -172,16 +103,6 @@ Suite table1_suite(const ExperimentConfig& cfg) {
                         own_props(std::move(ps))));
   }
   return suite;
-}
-
-std::vector<NamedResult> run_all_experiments(const ExperimentConfig& cfg) {
-  std::vector<NamedResult> out;
-  out.push_back({"1. Ain || Aout |= S", experiment1(cfg)});
-  out.push_back({"2. Ain || I || OUT <= Aout", experiment2(cfg)});
-  out.push_back({"3. IN || I || Aout <= Ain", experiment3(cfg)});
-  out.push_back({"4. Ain || I || Aout <= Ain (fixed point)", experiment4(cfg)});
-  out.push_back({"5. IN || I || OUT |= S", experiment5(cfg)});
-  return out;
 }
 
 }  // namespace rtv::ipcmos

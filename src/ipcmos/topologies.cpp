@@ -25,14 +25,17 @@ StageChannels fork_channels() {
   return ch;
 }
 
-VerificationResult verify_topology(const ModuleSet& set, const Netlist& nl,
-                                   const VerifyOptions& opts) {
+EngineResult verify_topology(const ModuleSet& set, const Netlist& nl,
+                             const ExperimentConfig& cfg) {
   DeadlockFreedom dead;
   PersistencyProperty pers;
-  std::vector<const SafetyProperty*> props{&dead, &pers};
+  EngineRequest req{.modules = set.ptrs, .properties = {&dead, &pers}};
   const auto scs = short_circuit_properties(nl);
-  for (const auto& p : scs) props.push_back(p.get());
-  return verify_modules(set.ptrs, props, opts);
+  for (const auto& p : scs) req.properties.push_back(p.get());
+  req.budget.max_states = cfg.verify.max_states;
+  req.budget.max_seconds = cfg.verify.max_seconds;
+  req.max_refinements = cfg.verify.max_refinements;
+  return engine_registry().find("refine")->run(req);
 }
 
 }  // namespace
@@ -63,14 +66,14 @@ ModuleSet fork_system(const PipelineTiming& t) {
   return set;
 }
 
-VerificationResult verify_join(const ExperimentConfig& cfg) {
+EngineResult verify_join(const ExperimentConfig& cfg) {
   const ModuleSet set = join_system(cfg.timing);
-  return verify_topology(set, make_join_netlist(cfg.timing.stage), cfg.verify);
+  return verify_topology(set, make_join_netlist(cfg.timing.stage), cfg);
 }
 
-VerificationResult verify_fork(const ExperimentConfig& cfg) {
+EngineResult verify_fork(const ExperimentConfig& cfg) {
   const ModuleSet set = fork_system(cfg.timing);
-  return verify_topology(set, make_fork_netlist(cfg.timing.stage), cfg.verify);
+  return verify_topology(set, make_fork_netlist(cfg.timing.stage), cfg);
 }
 
 }  // namespace rtv::ipcmos

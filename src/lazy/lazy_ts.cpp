@@ -280,7 +280,7 @@ void RefinedSystem::advance_age(const RefinedState& s, EventId fired,
   // instant holds for both original instants.
   std::vector<std::vector<std::size_t>> merged_into(kept.size());
   for (std::size_t a = 0; a < kept.size(); ++a) merged_into[a] = {kept[a]};
-  while (kept.size() > std::max<std::size_t>(2, max_waves_)) {
+  while (kept.size() > kMaxWaves) {
     const std::size_t w0 = kept[0], w1 = kept[1];
     for (std::size_t j = 0; j < n; ++j) {
       at(w1, j) = std::max(at(w1, j), at(w0, j));

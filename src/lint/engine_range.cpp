@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "checks.hpp"
-#include "rtv/zone/discrete.hpp"
+#include "rtv/verify/engine.hpp"
 
 namespace rtv::lint {
 
@@ -29,7 +29,7 @@ std::string ticks_with_units(Time t) {
 void check_engine_range(CheckContext& ctx) {
   const std::size_t budget = ctx.options.max_states
                                  ? ctx.options.max_states
-                                 : DiscreteVerifyOptions{}.max_states;
+                                 : kDefaultMaxConfigs;
 
   for (std::size_t mi = 0; mi < ctx.modules.size(); ++mi) {
     const TransitionSystem& ts = ctx.modules[mi]->ts();

@@ -201,13 +201,6 @@ const Value& require(const Value& obj, std::string_view key, Kind kind,
   return rtv::json::require(obj, key, kind, what, kCacheContext);
 }
 
-Verdict verdict_from_string(const std::string& s) {
-  if (s == "VERIFIED") return Verdict::kVerified;
-  if (s == "VIOLATED") return Verdict::kViolated;
-  if (s == "INCONCLUSIVE") return Verdict::kInconclusive;
-  throw std::runtime_error("verdict cache JSON: unknown verdict '" + s + "'");
-}
-
 void record_to_json(std::string& out, const CachedRecord& r) {
   out += "{\"engine\":";
   append_string(out, r.engine);
@@ -238,7 +231,7 @@ CachedRecord record_from_json(const Value& v) {
   CachedRecord r;
   r.engine = require(v, "engine", Kind::kString, "engine").string;
   r.verdict = verdict_from_string(
-      require(v, "verdict", Kind::kString, "verdict").string);
+      require(v, "verdict", Kind::kString, "verdict").string, kCacheContext);
   r.stop_reason =
       require(v, "stop_reason", Kind::kString, "stop reason").string;
   r.message = require(v, "message", Kind::kString, "message").string;

@@ -1,7 +1,10 @@
 #include "rtv/verify/engine.hpp"
 
+#include <algorithm>
 #include <mutex>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "rtv/obs/metrics.hpp"
@@ -22,6 +25,23 @@ const char* to_string(Verdict v) {
       return "INCONCLUSIVE";
   }
   return "?";
+}
+
+Verdict verdict_from_string(std::string_view s, std::string_view context) {
+  if (s == "VERIFIED") return Verdict::kVerified;
+  if (s == "VIOLATED") return Verdict::kViolated;
+  if (s == "INCONCLUSIVE") return Verdict::kInconclusive;
+  throw std::runtime_error(std::string(context) + ": unknown verdict '" +
+                           std::string(s) + "'");
+}
+
+std::vector<DerivedOrdering> RefineEngineStats::orderings() const {
+  std::vector<DerivedOrdering> all;
+  for (const RefinementRecord& r : records)
+    all.insert(all.end(), r.orderings.begin(), r.orderings.end());
+  std::sort(all.begin(), all.end());
+  all.erase(std::unique(all.begin(), all.end()), all.end());
+  return all;
 }
 
 // ---------------------------------------------------------------------------
@@ -99,6 +119,46 @@ void record_run_metrics(std::string_view engine, const EngineResult& r) {
             st->refinements < 0 ? 0 : st->refinements));
 }
 
+/// The one way into every built-in engine: compose the request's modules
+/// under the run's single RunClock (so composition counts against the
+/// deadline and cancellation budget, and the run's seconds include it),
+/// then hand the built system to the engine's `search`.  A truncated
+/// composition has frontier states with no outgoing transitions; exploring
+/// it would fabricate deadlocks (and mangle enabled sets), so no verdict
+/// can be trusted: the run is Inconclusive without exploring.
+template <class Stats, class Search>
+EngineResult compose_and_search(std::string_view engine,
+                                const EngineRequest& request,
+                                std::size_t native_budget, Search search) {
+  const std::size_t max_states =
+      request.budget.max_states ? request.budget.max_states : native_budget;
+  RunClock clock(engine, request.budget, request.progress,
+                 request.progress_interval);
+  ComposeOptions copts;
+  copts.track_chokes = request.track_chokes;
+  copts.max_states = max_states;
+  copts.jobs = request.jobs;
+  copts.stop = [&clock](std::size_t states) { return clock.tick(states); };
+  const Composition comp = compose(request.modules, copts);
+
+  EngineResult out;
+  if (comp.truncated) {
+    out.truncated_reason = comp.truncated_reason ? comp.truncated_reason
+                                                 : stop_reason::kComposeBudget;
+    Stats stats;
+    if constexpr (std::is_same_v<Stats, RefineEngineStats>) {
+      out.message = "composition truncated; verdict unavailable";
+      stats.composed_states = comp.ts.num_states();
+    }
+    out.stats = std::move(stats);
+  } else {
+    out = search(comp, clock, max_states);
+  }
+  out.seconds = clock.seconds();
+  record_run_metrics(engine, out);
+  return out;
+}
+
 class RefineEngine final : public Engine {
  public:
   std::string_view name() const override { return "refine"; }
@@ -109,35 +169,11 @@ class RefineEngine final : public Engine {
 
   EngineResult run(const EngineRequest& request) const override {
     obs::Span span("engine:refine", "engine");
-    VerifyOptions opts;
-    opts.max_refinements = request.max_refinements;
-    if (request.budget.max_states) opts.max_states = request.budget.max_states;
-    opts.max_seconds = request.budget.max_seconds;
-    opts.cancel = request.budget.cancel;
-    opts.progress = request.progress;
-    opts.progress_interval = request.progress_interval;
-    opts.track_chokes = request.track_chokes;
-    opts.jobs = request.jobs;
-    const VerificationResult r =
-        verify_modules(request.modules, request.properties, opts);
-
-    EngineResult out;
-    out.verdict = r.verdict;
-    out.message =
-        r.verdict == Verdict::kViolated ? r.counterexample_text : r.message;
-    out.trace_labels = r.counterexample_labels;
-    out.states_explored = r.final_states_explored;
-    out.seconds = r.seconds;
-    out.truncated_reason = r.truncated_reason;
-
-    RefineEngineStats st;
-    st.refinements = r.refinements;
-    st.composed_states = r.composed_states;
-    for (const DerivedOrdering& o : r.constraints())
-      st.constraints.push_back(o.before + " before " + o.after);
-    out.stats = std::move(st);
-    record_run_metrics(name(), out);
-    return out;
+    return compose_and_search<RefineEngineStats>(
+        name(), request, kDefaultMaxStates,
+        [&](const Composition& comp, RunClock& clock, std::size_t) {
+          return refine_explore(comp, request, clock);
+        });
   }
 };
 
@@ -151,27 +187,12 @@ class ZoneEngine final : public Engine {
 
   EngineResult run(const EngineRequest& request) const override {
     obs::Span span("engine:zone", "engine");
-    ZoneVerifyOptions opts;
-    if (request.budget.max_states) opts.max_zones = request.budget.max_states;
-    opts.max_seconds = request.budget.max_seconds;
-    opts.cancel = request.budget.cancel;
-    opts.progress = request.progress;
-    opts.progress_interval = request.progress_interval;
-    opts.track_chokes = request.track_chokes;
-    opts.jobs = request.jobs;
-    const ZoneVerifyResult r =
-        zone_verify(request.modules, request.properties, opts);
-
-    EngineResult out;
-    out.verdict = r.verdict();
-    if (r.violated) out.message = r.description;
-    out.trace_labels = r.trace_labels;
-    out.states_explored = r.zones_explored;
-    out.seconds = r.seconds;
-    out.truncated_reason = r.truncated_reason;
-    out.stats = ZoneEngineStats{r.discrete_states};
-    record_run_metrics(name(), out);
-    return out;
+    return compose_and_search<ZoneEngineStats>(
+        name(), request, kDefaultMaxStates,
+        [&](const Composition& comp, RunClock& clock, std::size_t max_zones) {
+          return zone_explore(comp.ts, request.properties, comp.chokes,
+                              max_zones, clock);
+        });
   }
 };
 
@@ -185,27 +206,16 @@ class DiscreteEngine final : public Engine {
 
   EngineResult run(const EngineRequest& request) const override {
     obs::Span span("engine:discrete", "engine");
-    DiscreteVerifyOptions opts;
-    if (request.budget.max_states) opts.max_states = request.budget.max_states;
-    opts.max_seconds = request.budget.max_seconds;
-    opts.cancel = request.budget.cancel;
-    opts.progress = request.progress;
-    opts.progress_interval = request.progress_interval;
-    opts.track_chokes = request.track_chokes;
-    opts.jobs = request.jobs;
-    const DiscreteVerifyResult r =
-        discrete_verify(request.modules, request.properties, opts);
-
-    EngineResult out;
-    out.verdict = r.verdict();
-    if (r.violated) out.message = r.description;
-    out.trace_labels = r.trace_labels;
-    out.states_explored = r.states_explored;
-    out.seconds = r.seconds;
-    out.truncated_reason = r.truncated_reason;
-    out.stats = DiscreteEngineStats{r.discrete_states};
-    record_run_metrics(name(), out);
-    return out;
+    return compose_and_search<DiscreteEngineStats>(
+        name(), request, kDefaultMaxConfigs,
+        [&](const Composition& comp, RunClock& clock, std::size_t max_states) {
+          DiscreteVerifyOptions opts;
+          opts.max_states = max_states;
+          opts.jobs = request.jobs;
+          opts.clock = &clock;
+          return discrete_explore(comp.ts, request.properties, comp.chokes,
+                                  opts);
+        });
   }
 };
 

@@ -10,66 +10,45 @@
 
 namespace rtv {
 
-std::vector<DerivedOrdering> VerificationResult::constraints() const {
-  std::vector<DerivedOrdering> all;
-  for (const RefinementRecord& r : records)
-    all.insert(all.end(), r.orderings.begin(), r.orderings.end());
-  std::sort(all.begin(), all.end());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
-  return all;
-}
-
-VerificationResult verify_modules(
-    const std::vector<const Module*>& modules,
-    const std::vector<const SafetyProperty*>& properties,
-    const VerifyOptions& options) {
-  RunBudget budget;
-  budget.max_states = options.max_states;
-  budget.max_seconds = options.max_seconds;
-  budget.cancel = options.cancel;
-  RunClock clock("refine", budget, options.progress,
-                 options.progress_interval);
-  VerificationResult result;
+EngineResult refine_explore(const Composition& comp,
+                            const EngineRequest& request, RunClock& clock,
+                            const RefineOptions& options) {
+  const std::size_t max_states = request.budget.max_states
+                                     ? request.budget.max_states
+                                     : kDefaultMaxStates;
+  EngineResult result;
+  RefineEngineStats stats;
+  stats.composed_states = comp.ts.num_states();
 
   auto finish = [&](const char* truncated_reason) {
     if (truncated_reason) {
       result.truncated_reason = truncated_reason;
       if (result.message.empty()) result.message = truncated_reason;
     }
+    for (const DerivedOrdering& o : stats.orderings())
+      stats.constraints.push_back(o.before + " before " + o.after);
     result.seconds = clock.seconds();
+    result.stats = std::move(stats);
     return result;
   };
 
-  ComposeOptions copts;
-  copts.track_chokes = options.track_chokes;
-  copts.max_states = options.max_states;
-  copts.jobs = options.jobs;
-  copts.stop = [&clock](std::size_t states) { return clock.tick(states); };
-  const Composition comp = compose(modules, copts);
-  result.composed_states = comp.ts.num_states();
-  if (comp.truncated) {
-    result.message = "composition truncated; verdict unavailable";
-    return finish(comp.truncated_reason ? comp.truncated_reason
-                                        : stop_reason::kComposeBudget);
-  }
   RTV_INFO << "composed " << comp.ts.num_states() << " states, "
            << comp.chokes.size() << " potential refusals";
 
   RefinedSystem refined(comp.ts);
   refined.enable_age_rule(options.structural_rule);
-  refined.set_max_waves(options.max_waves);
   refined.set_chokes(comp.chokes);
 
   std::string last_signature;
-  for (std::size_t iter = 0; iter <= options.max_refinements; ++iter) {
+  for (std::size_t iter = 0; iter <= request.max_refinements; ++iter) {
     obs::Span span("refine iteration " + std::to_string(iter), "engine");
-    FailureSearchStats stats;
-    const auto failure = find_failure(refined, comp.chokes, properties,
-                                      options.max_states, &stats, &clock);
-    result.final_states_explored = stats.states_explored;
-    if (stats.truncated) {
-      const char* reason = stats.stop_reason ? stats.stop_reason
-                                             : stop_reason::kStateBudget;
+    FailureSearchStats search;
+    const auto failure = find_failure(refined, comp.chokes, request.properties,
+                                      max_states, &search, &clock);
+    result.states_explored = search.states_explored;
+    if (search.truncated) {
+      const char* reason = search.stop_reason ? search.stop_reason
+                                              : stop_reason::kStateBudget;
       result.message =
           std::string(reason) + " during failure search";
       return finish(reason);
@@ -84,23 +63,20 @@ VerificationResult verify_modules(
                                  comp.chokes);
     if (model.consistent()) {
       result.verdict = Verdict::kViolated;
-      result.counterexample = failure->trace;
       for (const TraceStep& st : failure->trace.steps)
-        result.counterexample_labels.push_back(comp.ts.label(st.event));
+        result.trace_labels.push_back(comp.ts.label(st.event));
       if (failure->virtual_event.valid())
-        result.counterexample_labels.push_back(
-            comp.ts.label(failure->virtual_event));
+        result.trace_labels.push_back(comp.ts.label(failure->virtual_event));
       std::ostringstream os;
       os << failure->description << " via "
          << failure->trace.to_string(comp.ts);
       if (failure->virtual_event.valid())
         os << " then " << comp.ts.label(failure->virtual_event);
-      result.counterexample_text = os.str();
-      result.message = "timing-consistent failure: " + failure->description;
+      result.message = os.str();
       break;
     }
 
-    if (iter == options.max_refinements) {
+    if (iter == request.max_refinements) {
       result.message = stop_reason::kRefinementBudget;
       return finish(stop_reason::kRefinementBudget);
     }
@@ -163,8 +139,8 @@ VerificationResult verify_modules(
       refined.add_observer(std::move(obs));
     }
     last_signature = std::move(signature);
-    result.records.push_back(std::move(rec));
-    result.refinements = static_cast<int>(iter) + 1;
+    stats.records.push_back(std::move(rec));
+    stats.refinements = static_cast<int>(iter) + 1;
   }
 
   return finish(nullptr);

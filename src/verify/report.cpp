@@ -7,21 +7,24 @@
 namespace rtv {
 
 std::string format_report(const std::string& title,
-                          const VerificationResult& result) {
+                          const EngineResult& result) {
+  const auto* st = std::get_if<RefineEngineStats>(&result.stats);
   std::ostringstream os;
   os << "== " << title << " ==\n";
   os << "verdict:      " << to_string(result.verdict) << "\n";
-  os << "refinements:  " << result.refinements << "\n";
-  os << "composed:     " << result.composed_states << " states\n";
-  os << "explored:     " << result.final_states_explored
-     << " refined states (final iteration)\n";
+  if (st) {
+    os << "refinements:  " << st->refinements << "\n";
+    os << "composed:     " << st->composed_states << " states\n";
+  }
+  os << "explored:     " << result.states_explored
+     << (st ? " refined states (final iteration)\n" : " states\n");
   os << "time:         " << std::fixed << std::setprecision(3) << result.seconds
      << " s\n";
-  if (!result.message.empty()) os << "note:         " << result.message << "\n";
-  if (result.counterexample) {
-    os << "counterexample: " << result.counterexample_text << "\n";
-  }
-  for (const RefinementRecord& r : result.records) {
+  if (!result.message.empty())
+    os << (result.violated() ? "counterexample: " : "note:         ")
+       << result.message << "\n";
+  if (!st) return os.str();
+  for (const RefinementRecord& r : st->records) {
     os << "  iter " << std::setw(3) << r.iteration << ": " << r.failure << "\n";
     os << "           banned [";
     for (std::size_t i = 0; i < r.window_labels.size(); ++i) {
@@ -37,22 +40,11 @@ std::string format_report(const std::string& title,
   return os.str();
 }
 
-std::string format_constraints(const VerificationResult& result) {
-  std::ostringstream os;
-  for (const DerivedOrdering& o : result.constraints()) {
-    os << o.before << " before " << o.after << "\n";
-  }
-  return os.str();
-}
-
-ExperimentRow summarize(const std::string& name, const VerificationResult& r) {
-  ExperimentRow row;
-  row.name = name;
-  row.verdict = r.verdict;
-  row.seconds = r.seconds;
-  row.refinements = r.refinements;
-  row.states = r.composed_states;
-  return row;
+std::string format_constraints(const EngineResult& result) {
+  std::string out;
+  if (const auto* st = std::get_if<RefineEngineStats>(&result.stats))
+    for (const std::string& c : st->constraints) out += c + "\n";
+  return out;
 }
 
 ExperimentRow summarize(const std::string& name, const EngineResult& r) {

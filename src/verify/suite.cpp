@@ -24,6 +24,14 @@ namespace rtv {
 // Suite storage
 // ---------------------------------------------------------------------------
 
+EngineRequest Obligation::request() const {
+  return {.modules = modules,
+          .properties = properties,
+          .budget = budget,
+          .track_chokes = track_chokes,
+          .max_refinements = max_refinements};
+}
+
 const Module* Suite::own(Module m) {
   owned_modules_.push_back(std::move(m));
   return &owned_modules_.back();
@@ -519,13 +527,6 @@ const json::Value& require(const json::Value& obj, std::string_view key,
   return json::require(obj, key, kind, what, kJsonContext);
 }
 
-Verdict verdict_from_string(const std::string& s) {
-  if (s == "VERIFIED") return Verdict::kVerified;
-  if (s == "VIOLATED") return Verdict::kViolated;
-  if (s == "INCONCLUSIVE") return Verdict::kInconclusive;
-  throw std::runtime_error("suite report JSON: unknown verdict '" + s + "'");
-}
-
 }  // namespace
 
 SuiteReport parse_suite_report(const std::string& json) {
@@ -533,26 +534,13 @@ SuiteReport parse_suite_report(const std::string& json) {
 }
 
 SuiteReport parse_suite_report(const json::Value& root) {
-  if (root.kind != json::Value::Kind::kObject)
-    throw std::runtime_error("suite report JSON: root is not an object");
-
-  using Kind = json::Value::Kind;
-  if (require(root, "schema", Kind::kString, "schema tag").string !=
-      SuiteReport::kSchemaName)
-    throw std::runtime_error("suite report JSON: wrong schema tag");
-  const int version = static_cast<int>(
-      require(root, "schema_version", Kind::kNumber, "schema version").number);
   // Strict in both directions: a report written by a *newer* library must
   // not be best-effort parsed — the verdict cache and the serve wire
   // protocol rely on version skew failing loudly, naming both versions.
-  if (version > SuiteReport::kSchemaVersion)
-    throw std::runtime_error(
-        "suite report JSON: schema version " + std::to_string(version) +
-        " is newer than this library supports (max " +
-        std::to_string(SuiteReport::kSchemaVersion) + ")");
-  if (version < 1)
-    throw std::runtime_error("suite report JSON: invalid schema version " +
-                             std::to_string(version));
+  json::check_envelope(root, SuiteReport::kSchemaName,
+                       SuiteReport::kSchemaVersion, kJsonContext);
+
+  using Kind = json::Value::Kind;
 
   SuiteReport report;
   const std::string& mode =
@@ -577,7 +565,7 @@ SuiteReport parse_suite_report(const json::Value& root) {
         require(rec, "obligation", Kind::kString, "obligation name").string;
     out.engine = require(rec, "engine", Kind::kString, "engine name").string;
     out.result.verdict = verdict_from_string(
-        require(rec, "verdict", Kind::kString, "verdict").string);
+        require(rec, "verdict", Kind::kString, "verdict").string, kJsonContext);
     out.result.truncated_reason =
         require(rec, "stop_reason", Kind::kString, "stop reason").string;
     out.result.states_explored = static_cast<std::size_t>(

@@ -67,18 +67,13 @@ struct Violation {
 
 }  // namespace
 
-DiscreteVerifyResult discrete_explore(
+EngineResult discrete_explore(
     const TransitionSystem& ts,
     const std::vector<const SafetyProperty*>& properties,
     std::span<const ChokeRecord> chokes, const DiscreteVerifyOptions& options) {
-  RunBudget budget;
-  budget.max_states = options.max_states;
-  budget.max_seconds = options.max_seconds;
-  budget.cancel = options.cancel;
-  RunClock local_clock("discrete", budget, options.progress,
-                       options.progress_interval);
+  RunClock local_clock("discrete", RunBudget{});
   RunClock& clock = options.clock ? *options.clock : local_clock;
-  DiscreteVerifyResult result;
+  EngineResult result;
 
   std::unordered_map<StateId::underlying_type, std::vector<const ChokeRecord*>>
       chokes_at;
@@ -273,9 +268,9 @@ DiscreteVerifyResult discrete_explore(
     return out;
   };
 
-  const auto finish = [&](DiscreteVerifyResult r) {
+  const auto finish = [&](EngineResult r) {
     r.states_explored = interner.size();
-    r.discrete_states = discrete_count;
+    r.stats = DiscreteEngineStats{discrete_count};
     r.seconds = clock.seconds();
     if (obs::metrics_enabled()) {
       // One flush per run: worker balance, steal activity, interner shape.
@@ -323,20 +318,18 @@ DiscreteVerifyResult discrete_explore(
     }
 
     if (best) {
-      result.violated = true;
-      result.description = best->description;
+      result.verdict = Verdict::kViolated;
+      result.message = best->description;
       result.trace_labels = unwind_labels(best->leaf);
       if (!best->extra.empty()) result.trace_labels.push_back(best->extra);
       return false;
     }
     if (const char* reason = stop_flag.load(std::memory_order_relaxed)) {
-      result.truncated = true;
       result.truncated_reason = reason;
       RTV_WARN << "discrete exploration stopped: " << reason;
       return false;
     }
     if (interner.budget_hit()) {
-      result.truncated = true;
       result.truncated_reason = stop_reason::kStateBudget;
       RTV_WARN << "discrete exploration truncated at " << interner.size();
       return false;
@@ -377,42 +370,10 @@ DiscreteVerifyResult discrete_explore(
   }
 
   LayeredRunner(jobs).run(process, merge);
+  // A truncated run is never verified.
+  if (!best && result.truncated_reason.empty())
+    result.verdict = Verdict::kVerified;
   return finish(result);
-}
-
-DiscreteVerifyResult discrete_verify(
-    const std::vector<const Module*>& modules,
-    const std::vector<const SafetyProperty*>& properties,
-    const DiscreteVerifyOptions& options) {
-  // One clock for the whole run: composition counts against the deadline
-  // and cancellation budget, and seconds include the compose phase.
-  RunBudget budget;
-  budget.max_states = options.max_states;
-  budget.max_seconds = options.max_seconds;
-  budget.cancel = options.cancel;
-  RunClock clock("discrete", budget, options.progress,
-                 options.progress_interval);
-  ComposeOptions copts;
-  copts.track_chokes = options.track_chokes;
-  copts.max_states = options.max_states;
-  copts.jobs = options.jobs;
-  copts.stop = [&clock](std::size_t states) { return clock.tick(states); };
-  const Composition comp = compose(modules, copts);
-  if (comp.truncated) {
-    // A truncated composition has frontier states with no outgoing
-    // transitions; exploring it would fabricate deadlocks (and mangle
-    // enabled sets), so no verdict can be trusted — report inconclusive
-    // without exploring, like the refinement engine does.
-    DiscreteVerifyResult r;
-    r.truncated = true;
-    r.truncated_reason = comp.truncated_reason ? comp.truncated_reason
-                                               : stop_reason::kComposeBudget;
-    r.seconds = clock.seconds();
-    return r;
-  }
-  DiscreteVerifyOptions opts = options;
-  opts.clock = &clock;
-  return discrete_explore(comp.ts, properties, comp.chokes, opts);
 }
 
 }  // namespace rtv

@@ -8,7 +8,7 @@
 #include "rtv/stg/astg.hpp"
 #include "rtv/stg/elaborate.hpp"
 #include "rtv/verify/property.hpp"
-#include "rtv/verify/refinement.hpp"
+#include "rtv/verify/engine.hpp"
 
 namespace rtv {
 namespace {
@@ -37,7 +37,8 @@ TEST(AstgSamples, HandshakeComposesAndVerifies) {
 
   DeadlockFreedom dead;
   PersistencyProperty pers;
-  const VerificationResult r = verify_modules({&env, &dev}, {&dead, &pers}, {});
+  const EngineResult r = engine_registry().find("refine")->run(
+      {.modules = {&env, &dev}, .properties = {&dead, &pers}});
   EXPECT_TRUE(r.verified()) << r.message;
 }
 

@@ -6,18 +6,20 @@
 
 #include "rtv/base/rng.hpp"
 #include "rtv/ts/gallery.hpp"
-#include "rtv/zone/zone_graph.hpp"
 
 namespace rtv {
 namespace {
+
+const Engine& discrete = *engine_registry().find("discrete");
+const Engine& zone = *engine_registry().find("zone");
 
 TEST(Discrete, IntroExampleHolds) {
   const Module sys = gallery::intro_example();
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
-  const DiscreteVerifyResult r = discrete_verify({&sys, &mon}, {&bad});
-  EXPECT_FALSE(r.violated);
-  EXPECT_FALSE(r.truncated);
+  const EngineResult r = discrete.run({.modules = {&sys, &mon}, .properties = {&bad}});
+  EXPECT_FALSE(r.violated());
+  EXPECT_FALSE(r.inconclusive());
 }
 
 TEST(Discrete, BrokenDelaysViolate) {
@@ -27,12 +29,12 @@ TEST(Discrete, BrokenDelaysViolate) {
   const Module sys("broken", std::move(ts));
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
-  EXPECT_TRUE(discrete_verify({&sys, &mon}, {&bad}).violated);
+  EXPECT_TRUE(discrete.run({.modules = {&sys, &mon}, .properties = {&bad}}).violated());
 }
 
 TEST(Discrete, ViolationCarriesCounterexampleTrace) {
   // Regression: the engine used to report VIOLATED with no trace at all —
-  // DiscreteVerifyResult had no trace field and every violation path
+  // its result had no trace field and every violation path
   // returned bare finish(result).  The counterexample must name the event
   // sequence, ending with the premature 'd'.
   TransitionSystem ts = gallery::intro_example().ts();
@@ -41,8 +43,8 @@ TEST(Discrete, ViolationCarriesCounterexampleTrace) {
   const Module sys("broken", std::move(ts));
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
-  const DiscreteVerifyResult r = discrete_verify({&sys, &mon}, {&bad});
-  ASSERT_TRUE(r.violated);
+  const EngineResult r = discrete.run({.modules = {&sys, &mon}, .properties = {&bad}});
+  ASSERT_TRUE(r.violated());
   ASSERT_FALSE(r.trace_labels.empty());
   // The monitor's fail state is entered by firing d before g.
   EXPECT_NE(std::find(r.trace_labels.begin(), r.trace_labels.end(), "d"),
@@ -57,7 +59,7 @@ TEST(Discrete, StateCountScalesWithConstants) {
   const auto count = [](double scale) {
     const Module m = gallery::diamond("x", DelayInterval::units(1 * scale, 2 * scale),
                                       "y", DelayInterval::units(1 * scale, 2 * scale));
-    return discrete_verify({&m}, {}).states_explored;
+    return discrete.run({.modules = {&m}}).states_explored;
   };
   const std::size_t small = count(1);
   const std::size_t large = count(10);
@@ -71,8 +73,8 @@ TEST(Discrete, SaturationKeepsUnboundedLoopsFinite) {
   ts.add_transition(s0, x, s0);
   ts.set_initial(s0);
   const Module m("loop", std::move(ts));
-  const DiscreteVerifyResult r = discrete_verify({&m}, {});
-  EXPECT_FALSE(r.truncated);
+  const EngineResult r = discrete.run({.modules = {&m}});
+  EXPECT_FALSE(r.inconclusive());
   EXPECT_LT(r.states_explored, 20u);
 }
 
@@ -90,9 +92,9 @@ TEST_P(DiscreteZoneAgreement, VerdictsMatchOnRandomRaces) {
       gallery::diamond("x", DelayInterval(xlo, xhi), "y", DelayInterval(ylo, yhi));
   const Module mon = gallery::order_monitor("x", "y");
   const InvariantProperty bad("x first", {{"fail", true}});
-  const DiscreteVerifyResult d = discrete_verify({&m, &mon}, {&bad});
-  const ZoneVerifyResult z = zone_verify({&m, &mon}, {&bad});
-  EXPECT_EQ(d.violated, z.violated)
+  const EngineResult d = discrete.run({.modules = {&m, &mon}, .properties = {&bad}});
+  const EngineResult z = zone.run({.modules = {&m, &mon}, .properties = {&bad}});
+  EXPECT_EQ(d.violated(), z.violated())
       << "x [" << xlo << "," << xhi << "] y [" << ylo << "," << yhi << "]";
 }
 
@@ -121,9 +123,9 @@ TEST(Discrete, ChokeDetection) {
   lts.set_initial(l0);
   const Module once("once", std::move(lts));
 
-  const DiscreteVerifyResult r = discrete_verify({&producer, &once}, {});
-  EXPECT_TRUE(r.violated);
-  EXPECT_NE(r.description.find("refusal"), std::string::npos);
+  const EngineResult r = discrete.run({.modules = {&producer, &once}});
+  EXPECT_TRUE(r.violated());
+  EXPECT_NE(r.message.find("refusal"), std::string::npos);
   // The trace ends with the refused output.
   ASSERT_FALSE(r.trace_labels.empty());
   EXPECT_EQ(r.trace_labels.back(), "x+");
@@ -142,9 +144,9 @@ TEST(Discrete, VerifiesConstantsBeyondTheOld16BitAgeRange) {
                     s1);
   ts.set_initial(s0);
   const Module m("overflow", std::move(ts));
-  const DiscreteVerifyResult r = discrete_verify({&m}, {});
-  EXPECT_EQ(r.verdict(), Verdict::kVerified);
-  EXPECT_FALSE(r.truncated);
+  const EngineResult r = discrete.run({.modules = {&m}});
+  EXPECT_EQ(r.verdict, Verdict::kVerified);
+  EXPECT_FALSE(r.inconclusive());
   EXPECT_GT(r.states_explored, 65536u);  // the ages really counted past 2^16
 }
 
@@ -172,8 +174,9 @@ TEST_P(DiscreteAgeBoundary, LargeConstantsDecideInsteadOfRefusing) {
 
   const Module mon_bad = gallery::order_monitor("slow", "fast");
   const InvariantProperty bad("slow first", {{"fail", true}});
-  const DiscreteVerifyResult viol = discrete_verify({&m, &mon_bad}, {&bad});
-  EXPECT_TRUE(viol.violated) << c.name;
+  const EngineResult viol =
+      discrete.run({.modules = {&m, &mon_bad}, .properties = {&bad}});
+  EXPECT_TRUE(viol.violated()) << c.name;
   EXPECT_NE(viol.truncated_reason, stop_reason::kDigitizationRange) << c.name;
 
   if (c.check_verified) {
@@ -181,13 +184,13 @@ TEST_P(DiscreteAgeBoundary, LargeConstantsDecideInsteadOfRefusing) {
     // constants — the digitization tradeoff); skipped for the largest T.
     const Module mon_ok = gallery::order_monitor("fast", "slow", "ok_fail");
     const InvariantProperty ok("fast first", {{"ok_fail", true}});
-    const DiscreteVerifyResult v = discrete_verify({&m, &mon_ok}, {&ok});
-    EXPECT_FALSE(v.violated) << c.name;
-    EXPECT_FALSE(v.truncated) << c.name;
+    const EngineResult v = discrete.run({.modules = {&m, &mon_ok}, .properties = {&ok}});
+    EXPECT_FALSE(v.violated()) << c.name;
+    EXPECT_FALSE(v.inconclusive()) << c.name;
     EXPECT_GT(v.states_explored, static_cast<std::size_t>(c.slow_ticks))
         << c.name;
-    const ZoneVerifyResult z = zone_verify({&m, &mon_ok}, {&ok});
-    EXPECT_EQ(v.violated, z.violated) << c.name;
+    const EngineResult z = zone.run({.modules = {&m, &mon_ok}, .properties = {&ok}});
+    EXPECT_EQ(v.violated(), z.violated()) << c.name;
   }
 }
 

@@ -12,18 +12,21 @@
 #include "rtv/stg/library.hpp"
 #include "rtv/ts/compose.hpp"
 #include "rtv/ts/gallery.hpp"
-#include "rtv/verify/refinement.hpp"
-#include "rtv/zone/zone_graph.hpp"
+#include "rtv/verify/engine.hpp"
 
 namespace rtv {
 namespace {
+
+const Engine& refine = *engine_registry().find("refine");
 
 TEST(Integration, SimulationVisitsOnlyZoneReachableStates) {
   // Every discrete state visited by a timed simulation must be reachable
   // in the zone graph (the simulator implements the same TTS semantics).
   const Module sys = gallery::intro_example();
-  const ZoneVerifyResult z = zone_verify({&sys}, {});
-  ASSERT_FALSE(z.violated);
+  const EngineResult z = engine_registry().find("zone")->run({.modules = {&sys}});
+  ASSERT_FALSE(z.violated());
+  const std::size_t discrete_states =
+      std::get<ZoneEngineStats>(z.stats).discrete_states;
 
   // Collect simulated discrete states over many seeds.
   std::set<StateId::underlying_type> visited;
@@ -35,8 +38,8 @@ TEST(Integration, SimulationVisitsOnlyZoneReachableStates) {
   }
   // The zone engine reports how many discrete states are timed-reachable;
   // simulation can never exceed that.
-  EXPECT_LE(visited.size() + 1, z.discrete_states + 1);
-  EXPECT_GE(z.discrete_states, visited.size());
+  EXPECT_LE(visited.size() + 1, discrete_states + 1);
+  EXPECT_GE(discrete_states, visited.size());
 }
 
 TEST(Integration, MaterializedLazySystemShrinksPerRefinement) {
@@ -45,14 +48,14 @@ TEST(Integration, MaterializedLazySystemShrinksPerRefinement) {
   const Module sys = gallery::intro_example();
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
-  const VerificationResult r = verify_modules({&sys, &mon}, {&bad});
+  const EngineResult r = refine.run({.modules = {&sys, &mon}, .properties = {&bad}});
   ASSERT_EQ(r.verdict, Verdict::kVerified);
 
   // Rebuild the composition and apply the derived orderings.
   const Composition comp = compose({&sys, &mon});
   RefinedSystem refined(comp.ts);
   refined.enable_age_rule(true);
-  for (const DerivedOrdering& o : r.constraints()) {
+  for (const DerivedOrdering& o : std::get<RefineEngineStats>(r.stats).orderings()) {
     refined.activate_pair(comp.ts.event_by_label(o.before),
                           comp.ts.event_by_label(o.after));
   }
@@ -81,10 +84,10 @@ TEST(Integration, AstgEnvironmentVerifiesAgainstAbstraction) {
 
   const Module monitor = abstraction.as_monitor("Aout'");
   const DeadlockFreedom dead;
-  const VerificationResult r =
-      verify_modules({&producer, &out, &monitor}, {&dead});
+  const EngineResult r =
+      refine.run({.modules = {&producer, &out, &monitor}, .properties = {&dead}});
   EXPECT_EQ(r.verdict, Verdict::kVerified);
-  EXPECT_GE(r.refinements, 1);
+  EXPECT_GE(std::get<RefineEngineStats>(r.stats).refinements, 1);
 }
 
 TEST(Integration, ComposedDelayTighteningAffectsVerdict) {
@@ -96,7 +99,7 @@ TEST(Integration, ComposedDelayTighteningAffectsVerdict) {
   {
     const Module mon = gallery::order_monitor("x", "y");
     const InvariantProperty bad("x first", {{"fail", true}});
-    const VerificationResult r = verify_modules({&impl, &mon}, {&bad});
+    const EngineResult r = refine.run({.modules = {&impl, &mon}, .properties = {&bad}});
     EXPECT_EQ(r.verdict, Verdict::kViolated);
   }
   // A participant declaring x in [1,2] tightens the composed event.
@@ -114,23 +117,9 @@ TEST(Integration, ComposedDelayTighteningAffectsVerdict) {
   {
     const Module mon = gallery::order_monitor("x", "y");
     const InvariantProperty bad("x first", {{"fail", true}});
-    const VerificationResult r =
-        verify_modules({&impl, &listener, &mon}, {&bad});
+    const EngineResult r =
+        refine.run({.modules = {&impl, &listener, &mon}, .properties = {&bad}});
     EXPECT_EQ(r.verdict, Verdict::kVerified);
-  }
-}
-
-TEST(Integration, WaveCapKeepsVerdictSound) {
-  // Tight wave caps lose precision but never soundness: the verdict stays
-  // VERIFIED (possibly with more refinements) on the intro example.
-  const Module sys = gallery::intro_example();
-  const Module mon = gallery::order_monitor("g", "d");
-  const InvariantProperty bad("g before d", {{"fail", true}});
-  for (std::size_t cap : {2u, 3u, 6u}) {
-    VerifyOptions opts;
-    opts.max_waves = cap;
-    const VerificationResult r = verify_modules({&sys, &mon}, {&bad}, opts);
-    EXPECT_EQ(r.verdict, Verdict::kVerified) << "cap " << cap;
   }
 }
 

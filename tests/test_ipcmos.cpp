@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "rtv/circuit/invariants.hpp"
-#include "rtv/zone/zone_graph.hpp"
 
 namespace rtv::ipcmos {
 namespace {
@@ -69,29 +68,40 @@ TEST(IpcmosStage, StrobeSwitchEnablingConditions) {
   }
 }
 
+/// Table 1 row `row` (0-based) decided by `engine`.
+EngineResult run_row(std::size_t row, const ExperimentConfig& cfg = {},
+                     std::string_view engine = "refine") {
+  const Suite suite = table1_suite(cfg);
+  return engine_registry().find(engine)->run(suite.obligations()[row].request());
+}
+
+int refinements(const EngineResult& r) {
+  return std::get<RefineEngineStats>(r.stats).refinements;
+}
+
 TEST(IpcmosExperiments, Experiment1NoRefinements) {
-  const VerificationResult r = experiment1();
+  const EngineResult r = run_row(0);
   EXPECT_EQ(r.verdict, Verdict::kVerified);
-  EXPECT_EQ(r.refinements, 0);
+  EXPECT_EQ(refinements(r), 0);
 }
 
 TEST(IpcmosExperiments, Experiment2GuaranteesAout) {
-  const VerificationResult r = experiment2();
+  const EngineResult r = run_row(1);
   EXPECT_EQ(r.verdict, Verdict::kVerified);
-  EXPECT_GT(r.refinements, 0);
+  EXPECT_GT(refinements(r), 0);
 }
 
 TEST(IpcmosExperiments, Experiment4FixedPoint) {
-  const VerificationResult r = experiment4();
+  const EngineResult r = run_row(3);
   EXPECT_EQ(r.verdict, Verdict::kVerified);
-  EXPECT_GT(r.refinements, 0);
+  EXPECT_GT(refinements(r), 0);
 }
 
 TEST(IpcmosExperiments, Experiment5BackAnnotatesPaperOrderings) {
-  const VerificationResult r = experiment5();
+  const EngineResult r = run_row(4);
   ASSERT_EQ(r.verdict, Verdict::kVerified);
-  EXPECT_GT(r.refinements, 0);
-  const auto cs = r.constraints();
+  EXPECT_GT(refinements(r), 0);
+  const auto cs = std::get<RefineEngineStats>(r.stats).orderings();
   auto has = [&](const std::string& b, const std::string& a) {
     for (const DerivedOrdering& o : cs)
       if (o.before == b && o.after == a) return true;
@@ -104,16 +114,8 @@ TEST(IpcmosExperiments, Experiment5BackAnnotatesPaperOrderings) {
 }
 
 TEST(IpcmosExperiments, ZoneEngineConfirmsExperiment5) {
-  const ExperimentConfig cfg;
-  const ModuleSet set = flat_pipeline(1, cfg.timing);
-  const Netlist nl = make_stage_netlist("I1", linear_channels(1), cfg.timing.stage);
-  const auto scs = short_circuit_properties(nl);
-  const DeadlockFreedom dead;
-  const PersistencyProperty pers;
-  std::vector<const SafetyProperty*> props{&dead, &pers};
-  for (const auto& p : scs) props.push_back(p.get());
-  const ZoneVerifyResult z = zone_verify(set.ptrs, props);
-  EXPECT_FALSE(z.violated) << z.description;
+  const EngineResult z = run_row(4, {}, "zone");
+  EXPECT_EQ(z.verdict, Verdict::kVerified) << z.message;
 }
 
 TEST(IpcmosExperiments, BrokenTimingIsRejected) {
@@ -121,31 +123,23 @@ TEST(IpcmosExperiments, BrokenTimingIsRejected) {
   // CLKE precharges Vint while the pass transistor still conducts.
   ExperimentConfig cfg;
   cfg.timing.stage.y_fall = DelayInterval::units(6, 8);
-  const VerificationResult r = experiment5(cfg);
-  EXPECT_EQ(r.verdict, Verdict::kViolated);
-
-  const ModuleSet set = flat_pipeline(1, cfg.timing);
-  const Netlist nl =
-      make_stage_netlist("I1", linear_channels(1), cfg.timing.stage);
-  const auto scs = short_circuit_properties(nl);
-  const DeadlockFreedom dead;
-  const PersistencyProperty pers;
-  std::vector<const SafetyProperty*> props{&dead, &pers};
-  for (const auto& p : scs) props.push_back(p.get());
-  const ZoneVerifyResult z = zone_verify(set.ptrs, props);
-  EXPECT_TRUE(z.violated);
+  EXPECT_EQ(run_row(4, cfg).verdict, Verdict::kViolated);
+  EXPECT_EQ(run_row(4, cfg, "zone").verdict, Verdict::kViolated);
 }
 
-TEST(IpcmosExperiments, RunAllProducesFiveRows) {
-  const auto rows = run_all_experiments();
-  ASSERT_EQ(rows.size(), 5u);
-  for (const auto& row : rows) {
-    EXPECT_EQ(row.result.verdict, Verdict::kVerified) << row.name;
+TEST(IpcmosExperiments, Table1HasFiveVerifiedRows) {
+  const Suite suite = table1_suite();
+  ASSERT_EQ(suite.size(), 5u);
+  std::vector<int> counts;
+  for (const Obligation& ob : suite.obligations()) {
+    const EngineResult r = engine_registry().find("refine")->run(ob.request());
+    EXPECT_EQ(r.verdict, Verdict::kVerified) << ob.name;
+    counts.push_back(refinements(r));
   }
   // Experiment 5 (both ends pulse-driven) needs the most refinements,
   // experiment 1 none — the shape of the paper's Table 1.
-  EXPECT_EQ(rows[0].result.refinements, 0);
-  EXPECT_GE(rows[4].result.refinements, rows[1].result.refinements);
+  EXPECT_EQ(counts[0], 0);
+  EXPECT_GE(counts[4], counts[1]);
 }
 
 TEST(IpcmosPipeline, TwoStageCompositionIsFiniteAndAlive) {

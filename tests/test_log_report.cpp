@@ -62,12 +62,14 @@ TEST(Report, TableWithNoRowsIsHeaderOnly) {
   EXPECT_EQ(std::count(t.begin(), t.end(), '\n'), 2);
 }
 
-TEST(Report, SummarizeVerificationResultInconclusive) {
-  VerificationResult r;
+TEST(Report, SummarizeInconclusiveRefineResult) {
+  EngineResult r;
   r.verdict = Verdict::kInconclusive;
   r.truncated_reason = stop_reason::kStateBudget;
-  r.refinements = 2;
-  r.composed_states = 17;
+  RefineEngineStats st;
+  st.refinements = 2;
+  st.composed_states = 17;
+  r.stats = st;
   const ExperimentRow row = summarize("truncated", r);
   EXPECT_EQ(row.verdict, Verdict::kInconclusive);
   EXPECT_EQ(row.refinements, 2);
@@ -117,7 +119,7 @@ TEST(Report, SuiteReportTableHandlesEmptyAndInconclusive) {
 }
 
 TEST(Report, EmptyResultFormats) {
-  VerificationResult r;
+  EngineResult r;
   const std::string s = format_report("empty", r);
   EXPECT_NE(s.find("INCONCLUSIVE"), std::string::npos);
   EXPECT_TRUE(format_constraints(r).empty());
@@ -126,12 +128,6 @@ TEST(Report, EmptyResultFormats) {
 TEST(Report, VerdictNames) {
   EXPECT_STREQ(to_string(Verdict::kVerified), "VERIFIED");
   EXPECT_STREQ(to_string(Verdict::kViolated), "VIOLATED");
-  // kCounterexample remains a source-compatibility alias for kViolated,
-  // but is deprecated — new code uses kViolated.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_STREQ(to_string(Verdict::kCounterexample), "VIOLATED");
-#pragma GCC diagnostic pop
   EXPECT_STREQ(to_string(Verdict::kInconclusive), "INCONCLUSIVE");
 }
 

@@ -5,7 +5,7 @@
 #include "rtv/stg/library.hpp"
 #include "rtv/ts/compose.hpp"
 #include "rtv/ts/gallery.hpp"
-#include "rtv/verify/refinement.hpp"
+#include "rtv/verify/engine.hpp"
 
 namespace rtv {
 namespace {
@@ -98,8 +98,9 @@ TEST(Minimize, QuotientPreservesVerificationVerdict) {
   const Module mon = gallery::order_monitor("g", "d");
   const Module mon_min = minimized(mon);
   const InvariantProperty bad("g before d", {{"fail", true}});
-  const VerificationResult a = verify_modules({&sys, &mon}, {&bad});
-  const VerificationResult b = verify_modules({&sys, &mon_min}, {&bad});
+  const Engine& refine = *engine_registry().find("refine");
+  const EngineResult a = refine.run({.modules = {&sys, &mon}, .properties = {&bad}});
+  const EngineResult b = refine.run({.modules = {&sys, &mon_min}, .properties = {&bad}});
   EXPECT_EQ(a.verdict, b.verdict);
 }
 

@@ -3,7 +3,7 @@
 //
 //   * compose() is bit-identical across job counts — state numbering,
 //     transitions, valuations, chokes;
-//   * discrete_verify() produces identical verdicts, state counts and
+//   * the discrete engine produces identical verdicts, state counts and
 //     counterexample traces at jobs=1 and jobs=4 on randomized gallery
 //     systems, and every parallel counterexample replays through the
 //     sequential composition;
@@ -170,11 +170,12 @@ TEST(ParallelCompose, OutputIsIdenticalAcrossJobCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// discrete_verify() parity: verdicts, counts and traces
+// Discrete engine parity: verdicts, counts and traces
 // ---------------------------------------------------------------------------
 
 TEST(ParallelDiscrete, RandomizedGallerySystemsAgreeAcrossJobCounts) {
   constexpr std::size_t kBudget = 500'000;
+  const Engine& discrete = *engine_registry().find("discrete");
   for (int seed = 0; seed < 20; ++seed) {
     Rng rng(static_cast<std::uint64_t>(seed) * 2654435761u + 12345);
     const Module m =
@@ -182,22 +183,21 @@ TEST(ParallelDiscrete, RandomizedGallerySystemsAgreeAcrossJobCounts) {
     const Module mon = gallery::order_monitor("x", "y");
     const InvariantProperty bad("x first", {{"fail", true}});
 
-    DiscreteVerifyOptions one, four;
-    one.jobs = 1;
-    four.jobs = 4;
-    one.max_states = four.max_states = kBudget;
-    const DiscreteVerifyResult a = discrete_verify({&m, &mon}, {&bad}, one);
-    const DiscreteVerifyResult b = discrete_verify({&m, &mon}, {&bad}, four);
+    EngineRequest req{.modules = {&m, &mon}, .properties = {&bad}};
+    req.budget.max_states = kBudget;
+    req.jobs = 1;
+    const EngineResult a = discrete.run(req);
+    req.jobs = 4;
+    const EngineResult b = discrete.run(req);
 
-    EXPECT_EQ(a.violated, b.violated) << "seed " << seed;
-    EXPECT_EQ(a.truncated, b.truncated) << "seed " << seed;
+    EXPECT_EQ(a.verdict, b.verdict) << "seed " << seed;
+    EXPECT_EQ(a.truncated_reason, b.truncated_reason) << "seed " << seed;
     EXPECT_EQ(a.states_explored, b.states_explored) << "seed " << seed;
     EXPECT_LE(a.states_explored, kBudget);
     EXPECT_EQ(a.trace_labels, b.trace_labels) << "seed " << seed;
-    if (a.violated) {
+    if (a.violated()) {
       EXPECT_FALSE(b.trace_labels.empty()) << "seed " << seed;
-      const bool refusal =
-          a.description.find("refusal") != std::string::npos;
+      const bool refusal = a.message.find("refusal") != std::string::npos;
       ComposeOptions copts;
       copts.track_chokes = true;
       const Composition comp = compose({&m, &mon}, copts);
@@ -234,11 +234,10 @@ TEST(ParallelDiscrete, ChokeCounterexampleReplaysUpToTheRefusal) {
   lts.set_initial(l0);
   const Module once("once", std::move(lts));
 
+  const Engine& discrete = *engine_registry().find("discrete");
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-    DiscreteVerifyOptions opts;
-    opts.jobs = jobs;
-    const DiscreteVerifyResult r = discrete_verify({&producer, &once}, {}, opts);
-    ASSERT_TRUE(r.violated) << jobs << " jobs";
+    const EngineResult r = discrete.run({.modules = {&producer, &once}, .jobs = jobs});
+    ASSERT_TRUE(r.violated()) << jobs << " jobs";
     ASSERT_FALSE(r.trace_labels.empty()) << jobs << " jobs";
     EXPECT_EQ(r.trace_labels.back(), "x+");
     ComposeOptions copts;
@@ -261,12 +260,10 @@ TEST(ParallelDiscrete, StateBudgetIsAHardCeilingUnderConcurrency) {
   ComposeOptions copts;
   copts.track_chokes = true;
   const Composition comp = compose({&sys}, copts);
-  const DiscreteVerifyResult r =
-      discrete_explore(comp.ts, {}, comp.chokes, opts);
-  EXPECT_TRUE(r.truncated);
+  const EngineResult r = discrete_explore(comp.ts, {}, comp.chokes, opts);
   EXPECT_EQ(r.truncated_reason, stop_reason::kStateBudget);
   EXPECT_LE(r.states_explored, 1000u);
-  EXPECT_EQ(r.verdict(), Verdict::kInconclusive);
+  EXPECT_EQ(r.verdict, Verdict::kInconclusive);
 }
 
 // ---------------------------------------------------------------------------

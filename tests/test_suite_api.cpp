@@ -482,14 +482,14 @@ TEST(SuiteReportApi, TableRendersRecordsAndRollup) {
   EXPECT_EQ(rows[0].name, "fig1 gallery obligation [refine]");
 }
 
-TEST(SuiteIpcmos, Table1SuiteMatchesRunAllExperiments) {
-  // The declarative Table 1 suite reproduces the classic sequential
-  // driver's verdicts record for record (the full five run in
-  // test_ipcmos/bench; one obligation keeps this suite fast).
+TEST(SuiteIpcmos, Table1SuiteMatchesADirectEngineRun) {
+  // A suite run of a Table 1 obligation reproduces a direct Engine::run of
+  // the same request (the full five run in test_ipcmos/bench; one
+  // obligation keeps this suite fast).
   const Suite suite = ipcmos::table1_suite();
   ASSERT_EQ(suite.size(), 5u);
-  const std::vector<ipcmos::NamedResult> classic = {
-      {"1. Ain || Aout |= S", ipcmos::experiment1()}};
+  const Obligation& first = suite.obligations().front();
+  const EngineResult direct = engine_registry().find("refine")->run(first.request());
   SuiteOptions opts;
   opts.jobs = 1;
   // Run only the cheap first obligation here by building a 1-obligation
@@ -500,8 +500,8 @@ TEST(SuiteIpcmos, Table1SuiteMatchesRunAllExperiments) {
   ob.properties = suite.obligations().front().properties;
   const SuiteReport report = run_suite(one, opts);
   ASSERT_EQ(report.records.size(), 1u);
-  EXPECT_EQ(report.records[0].obligation, classic[0].name);
-  EXPECT_EQ(report.records[0].result.verdict, classic[0].result.verdict);
+  EXPECT_EQ(report.records[0].obligation, "1. Ain || Aout |= S");
+  EXPECT_EQ(report.records[0].result.verdict, direct.verdict);
 }
 
 }  // namespace

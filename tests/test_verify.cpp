@@ -5,19 +5,33 @@
 #include "rtv/verify/containment.hpp"
 #include "rtv/verify/report.hpp"
 #include "rtv/ts/gallery.hpp"
-#include "rtv/zone/zone_graph.hpp"
 
 namespace rtv {
 namespace {
+
+const Engine& refine = *engine_registry().find("refine");
+
+const RefineEngineStats& stats(const EngineResult& r) {
+  return std::get<RefineEngineStats>(r.stats);
+}
+
+/// The "refine" engine's path (compose, then the refinement loop) with
+/// non-default RefineOptions.
+EngineResult run_refine(const EngineRequest& req, const RefineOptions& opts) {
+  RunClock clock("refine", req.budget);
+  ComposeOptions copts;
+  copts.track_chokes = req.track_chokes;
+  return refine_explore(compose(req.modules, copts), req, clock, opts);
+}
 
 TEST(Verify, IntroExampleVerifiesWithRefinements) {
   const Module sys = gallery::intro_example();
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
-  const VerificationResult r = verify_modules({&sys, &mon}, {&bad});
+  const EngineResult r = refine.run({.modules = {&sys, &mon}, .properties = {&bad}});
   EXPECT_EQ(r.verdict, Verdict::kVerified);
-  EXPECT_GE(r.refinements, 1);
-  EXPECT_FALSE(r.constraints().empty());
+  EXPECT_GE(stats(r).refinements, 1);
+  EXPECT_FALSE(stats(r).constraints.empty());
 }
 
 TEST(Verify, BrokenDelaysGiveCounterexample) {
@@ -27,10 +41,10 @@ TEST(Verify, BrokenDelaysGiveCounterexample) {
   const Module sys("intro-broken", std::move(ts));
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
-  const VerificationResult r = verify_modules({&sys, &mon}, {&bad});
+  const EngineResult r = refine.run({.modules = {&sys, &mon}, .properties = {&bad}});
   EXPECT_EQ(r.verdict, Verdict::kViolated);
-  ASSERT_TRUE(r.counterexample.has_value());
-  EXPECT_FALSE(r.counterexample_text.empty());
+  EXPECT_FALSE(r.trace_labels.empty());
+  EXPECT_NE(r.message.find(" via "), std::string::npos);
 }
 
 TEST(Verify, UntimedlyCorrectNeedsNoRefinement) {
@@ -39,15 +53,15 @@ TEST(Verify, UntimedlyCorrectNeedsNoRefinement) {
                                      {"y", DelayInterval::units(1, 2)}});
   const Module mon = gallery::order_monitor("x", "y");
   const InvariantProperty bad("x before y", {{"fail", true}});
-  const VerificationResult r = verify_modules({&sys, &mon}, {&bad});
+  const EngineResult r = refine.run({.modules = {&sys, &mon}, .properties = {&bad}});
   EXPECT_EQ(r.verdict, Verdict::kVerified);
-  EXPECT_EQ(r.refinements, 0);
+  EXPECT_EQ(stats(r).refinements, 0);
 }
 
 TEST(Verify, DeadlockIsACounterexampleWhenTimingConsistent) {
   const Module sys = gallery::chain({{"x", DelayInterval::units(1, 2)}});
   const DeadlockFreedom dead;
-  const VerificationResult r = verify_modules({&sys}, {&dead});
+  const EngineResult r = refine.run({.modules = {&sys}, .properties = {&dead}});
   EXPECT_EQ(r.verdict, Verdict::kViolated);
 }
 
@@ -68,22 +82,21 @@ TEST(Verify, PersistencyGlitchPrunedByTiming) {
   ts.set_initial(s0);
   const Module sys("glitch", std::move(ts));
   const PersistencyProperty pers;
-  const VerificationResult r = verify_modules({&sys}, {&pers});
+  const EngineResult r = refine.run({.modules = {&sys}, .properties = {&pers}});
   EXPECT_EQ(r.verdict, Verdict::kVerified);
-  EXPECT_GE(r.refinements, 1);
+  EXPECT_GE(stats(r).refinements, 1);
 }
 
 TEST(Verify, StructuralRuleOffStillSoundJustSlower) {
   const Module sys = gallery::intro_example();
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
-  VerifyOptions opts;
-  opts.structural_rule = false;
-  const VerificationResult r = verify_modules({&sys, &mon}, {&bad}, opts);
+  const EngineRequest req{.modules = {&sys, &mon}, .properties = {&bad}};
+  const EngineResult r = run_refine(req, {.structural_rule = false});
   EXPECT_EQ(r.verdict, Verdict::kVerified);
   // Window observers only: at least as many iterations.
-  const VerificationResult fast = verify_modules({&sys, &mon}, {&bad});
-  EXPECT_GE(r.refinements, fast.refinements);
+  const EngineResult fast = refine.run(req);
+  EXPECT_GE(stats(r).refinements, stats(fast).refinements);
 }
 
 TEST(Verify, ContainmentAcceptsRefinement) {
@@ -99,7 +112,7 @@ TEST(Verify, ContainmentAcceptsRefinement) {
                                         EventKind::kOutput), s);
   spec.set_initial(s);
   const Module abs("spec", std::move(spec));
-  const VerificationResult r = check_containment({&impl}, abs);
+  const EngineResult r = check_containment({&impl}, abs);
   EXPECT_EQ(r.verdict, Verdict::kVerified);
 }
 
@@ -124,7 +137,7 @@ TEST(Verify, ContainmentRejectsForbiddenOutput) {
   ats.set_initial(a0);
   const Module abs("spec", std::move(ats));
 
-  const VerificationResult r = check_containment({&impl}, abs);
+  const EngineResult r = check_containment({&impl}, abs);
   EXPECT_EQ(r.verdict, Verdict::kViolated);
   EXPECT_NE(r.message.find("refusal"), std::string::npos);
 }
@@ -147,25 +160,26 @@ TEST(Verify, TimedContainmentNeedsRefinement) {
                                        EventKind::kOutput), a2);
   ats.set_initial(a0);
   const Module abs("x-then-y", std::move(ats));
-  const VerificationResult r = check_containment({&impl}, abs);
+  const EngineResult r = check_containment({&impl}, abs);
   EXPECT_EQ(r.verdict, Verdict::kVerified);
-  EXPECT_GE(r.refinements, 1);
+  EXPECT_GE(stats(r).refinements, 1);
 }
 
 TEST(Verify, VerdictAgreesWithZoneEngineOnIntro) {
   const Module sys = gallery::intro_example();
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
-  const VerificationResult rt = verify_modules({&sys, &mon}, {&bad});
-  const ZoneVerifyResult zn = zone_verify({&sys, &mon}, {&bad});
-  EXPECT_EQ(rt.verdict == Verdict::kVerified, !zn.violated);
+  const EngineRequest req{.modules = {&sys, &mon}, .properties = {&bad}};
+  const EngineResult rt = refine.run(req);
+  const EngineResult zn = engine_registry().find("zone")->run(req);
+  EXPECT_EQ(rt.verdict, zn.verdict);
 }
 
 TEST(Verify, ReportFormatting) {
   const Module sys = gallery::intro_example();
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
-  const VerificationResult r = verify_modules({&sys, &mon}, {&bad});
+  const EngineResult r = refine.run({.modules = {&sys, &mon}, .properties = {&bad}});
   const std::string report = format_report("intro", r);
   EXPECT_NE(report.find("VERIFIED"), std::string::npos);
   EXPECT_NE(report.find("refinements"), std::string::npos);
@@ -179,9 +193,8 @@ TEST(Verify, RefinementBudgetGivesInconclusive) {
   const Module sys = gallery::intro_example();
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
-  VerifyOptions opts;
-  opts.max_refinements = 0;
-  const VerificationResult r = verify_modules({&sys, &mon}, {&bad}, opts);
+  const EngineResult r = refine.run(
+      {.modules = {&sys, &mon}, .properties = {&bad}, .max_refinements = 0});
   EXPECT_EQ(r.verdict, Verdict::kInconclusive);
 }
 

@@ -3,7 +3,7 @@
 #include "rtv/ts/compose.hpp"
 #include "rtv/ts/dot.hpp"
 #include "rtv/ts/gallery.hpp"
-#include "rtv/verify/refinement.hpp"
+#include "rtv/verify/engine.hpp"
 #include "rtv/verify/witness.hpp"
 
 namespace rtv {
@@ -55,16 +55,15 @@ TEST(Witness, CounterexampleFromVerifierIsSchedulable) {
   const Module sys("intro-broken", std::move(broken));
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
-  const VerificationResult r = verify_modules({&sys, &mon}, {&bad});
+  const EngineResult r = engine_registry().find("refine")->run(
+      {.modules = {&sys, &mon}, .properties = {&bad}});
   ASSERT_EQ(r.verdict, Verdict::kViolated);
-  ASSERT_TRUE(r.counterexample.has_value());
+  const std::vector<std::string>& labels = r.trace_labels;
+  ASSERT_FALSE(labels.empty());
 
   // The counterexample lives in the composed system; rebuild the same
   // composition and replay its labels there to extract a schedule.
   const Composition comp = compose({&sys, &mon});
-  std::vector<std::string> labels;
-  for (const TraceStep& s : r.counterexample->steps)
-    labels.push_back(comp.ts.label(s.event));
   const auto w = make_witness(comp.ts, replay(comp.ts, labels));
   ASSERT_TRUE(w.has_value());
   ASSERT_EQ(w->steps.size(), labels.size());

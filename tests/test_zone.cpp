@@ -8,14 +8,16 @@
 namespace rtv {
 namespace {
 
+const Engine& zone = *engine_registry().find("zone");
+
 TEST(ZoneGraph, IntroExamplePropertyHoldsTimed) {
   const Module sys = gallery::intro_example();
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
-  const ZoneVerifyResult r = zone_verify({&sys, &mon}, {&bad});
-  EXPECT_FALSE(r.violated);
-  EXPECT_FALSE(r.truncated);
-  EXPECT_GT(r.zones_explored, 0u);
+  const EngineResult r = zone.run({.modules = {&sys, &mon}, .properties = {&bad}});
+  EXPECT_FALSE(r.violated());
+  EXPECT_FALSE(r.inconclusive());
+  EXPECT_GT(r.states_explored, 0u);
 }
 
 TEST(ZoneGraph, PropertyFailsWhenDelaysAllowIt) {
@@ -26,8 +28,8 @@ TEST(ZoneGraph, PropertyFailsWhenDelaysAllowIt) {
   const Module sys("intro-broken", std::move(ts));
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
-  const ZoneVerifyResult r = zone_verify({&sys, &mon}, {&bad});
-  EXPECT_TRUE(r.violated);
+  const EngineResult r = zone.run({.modules = {&sys, &mon}, .properties = {&bad}});
+  EXPECT_TRUE(r.violated());
   EXPECT_FALSE(r.trace_labels.empty());
 }
 
@@ -37,8 +39,8 @@ TEST(ZoneGraph, RaceSemantics) {
                                     DelayInterval::units(5, 6));
   const Module mon = gallery::order_monitor("x", "y");
   const InvariantProperty bad("x before y", {{"fail", true}});
-  const ZoneVerifyResult r = zone_verify({&m, &mon}, {&bad});
-  EXPECT_FALSE(r.violated);
+  const EngineResult r = zone.run({.modules = {&m, &mon}, .properties = {&bad}});
+  EXPECT_FALSE(r.violated());
 }
 
 TEST(ZoneGraph, RaceTieIsPossible) {
@@ -49,8 +51,8 @@ TEST(ZoneGraph, RaceTieIsPossible) {
                                     DelayInterval::units(2, 4));
   const Module mon = gallery::order_monitor("x", "y");
   const InvariantProperty bad("x before y", {{"fail", true}});
-  const ZoneVerifyResult r = zone_verify({&m, &mon}, {&bad});
-  EXPECT_TRUE(r.violated);
+  const EngineResult r = zone.run({.modules = {&m, &mon}, .properties = {&bad}});
+  EXPECT_TRUE(r.violated());
 }
 
 TEST(ZoneGraph, UrgencyForcesProgress) {
@@ -63,17 +65,17 @@ TEST(ZoneGraph, UrgencyForcesProgress) {
   ts.set_initial(s0);
   const Module m("loop", std::move(ts));
   const DeadlockFreedom dead;
-  const ZoneVerifyResult r = zone_verify({&m}, {&dead});
-  EXPECT_FALSE(r.violated);
-  EXPECT_LT(r.zones_explored, 10u);
+  const EngineResult r = zone.run({.modules = {&m}, .properties = {&dead}});
+  EXPECT_FALSE(r.violated());
+  EXPECT_LT(r.states_explored, 10u);
 }
 
 TEST(ZoneGraph, DeadlockDetected) {
   const Module m = gallery::chain({{"a", DelayInterval::units(1, 2)}});
   const DeadlockFreedom dead;
-  const ZoneVerifyResult r = zone_verify({&m}, {&dead});
-  EXPECT_TRUE(r.violated);
-  EXPECT_EQ(r.description, "deadlock");
+  const EngineResult r = zone.run({.modules = {&m}, .properties = {&dead}});
+  EXPECT_TRUE(r.violated());
+  EXPECT_EQ(r.message, "deadlock");
   EXPECT_EQ(r.trace_labels, (std::vector<std::string>{"a"}));
 }
 
@@ -92,8 +94,8 @@ TEST(ZoneGraph, PersistencyViolationOnlyWhenTimedReachable) {
   ts.set_initial(s0);
   const Module m("race", std::move(ts));
   const PersistencyProperty pers;
-  const ZoneVerifyResult r = zone_verify({&m}, {&pers});
-  EXPECT_FALSE(r.violated);
+  const EngineResult r = zone.run({.modules = {&m}, .properties = {&pers}});
+  EXPECT_FALSE(r.violated());
 
   // Overlapping delays make it reachable.
   TransitionSystem ts2;
@@ -107,8 +109,8 @@ TEST(ZoneGraph, PersistencyViolationOnlyWhenTimedReachable) {
   ts2.add_transition(t1, y2, t2);
   ts2.set_initial(t0);
   const Module m2("race2", std::move(ts2));
-  const ZoneVerifyResult r2 = zone_verify({&m2}, {&pers});
-  EXPECT_TRUE(r2.violated);
+  const EngineResult r2 = zone.run({.modules = {&m2}, .properties = {&pers}});
+  EXPECT_TRUE(r2.violated());
 }
 
 TEST(ZoneGraph, ChokeOnlyCountsWhenTimedReachable) {
@@ -133,16 +135,42 @@ TEST(ZoneGraph, ChokeOnlyCountsWhenTimedReachable) {
   lts.set_initial(l0);
   const Module once("once", std::move(lts));
 
-  const ZoneVerifyResult r = zone_verify({&producer, &once}, {});
-  EXPECT_TRUE(r.violated);
-  EXPECT_NE(r.description.find("refusal"), std::string::npos);
+  const EngineResult r = zone.run({.modules = {&producer, &once}});
+  EXPECT_TRUE(r.violated());
+  EXPECT_NE(r.message.find("refusal"), std::string::npos);
 }
 
 TEST(ZoneGraph, ZoneCountExceedsDiscreteStates) {
   const Module sys = gallery::intro_example();
-  const ZoneVerifyResult r = zone_verify({&sys}, {});
-  EXPECT_GE(r.zones_explored, r.discrete_states);
-  EXPECT_GT(r.discrete_states, 0u);
+  const EngineResult r = zone.run({.modules = {&sys}});
+  const std::size_t discrete_states =
+      std::get<ZoneEngineStats>(r.stats).discrete_states;
+  EXPECT_GE(r.states_explored, discrete_states);
+  EXPECT_GT(discrete_states, 0u);
+}
+
+TEST(ZoneGraph, ZoneBudgetIsNeverVerified) {
+  // Two free-running loops: one composed state, eleven zones.  A budget of
+  // one or two zones rejects a successor on the last expansion and leaves
+  // the queue empty; that run must stay Inconclusive, not VERIFIED.
+  const auto loop = [](const char* label, DelayInterval d) {
+    TransitionSystem ts;
+    const StateId s = ts.add_state();
+    ts.add_transition(s, ts.add_event(label, d), s);
+    ts.set_initial(s);
+    return Module(label, std::move(ts));
+  };
+  const Module x = loop("x", DelayInterval::units(1, 2));
+  const Module y = loop("y", DelayInterval::units(3, 5));
+  for (const std::size_t cap : {1u, 2u, 5u}) {
+    EngineRequest req{.modules = {&x, &y}};
+    req.budget.max_states = cap;
+    const EngineResult r = zone.run(req);
+    EXPECT_EQ(r.verdict, Verdict::kInconclusive) << "cap " << cap;
+    EXPECT_EQ(r.truncated_reason, stop_reason::kStateBudget) << "cap " << cap;
+    EXPECT_LE(r.states_explored, cap);
+  }
+  EXPECT_EQ(zone.run({.modules = {&x, &y}}).verdict, Verdict::kVerified);
 }
 
 }  // namespace
