@@ -18,17 +18,11 @@ using namespace rtv::ipcmos;
 
 namespace {
 
-/// The "refine" engine's path (compose, then the refinement loop) with the
-/// structural rule on ("pairs") or off ("windows").
-EngineResult run(const EngineRequest& req, bool structural_rule) {
-  RunClock clock("refine", req.budget);
-  ComposeOptions copts;
-  copts.track_chokes = req.track_chokes;
-  return refine_explore(compose(req.modules, copts), req, clock,
-                        {.structural_rule = structural_rule});
-}
-
-void report(const char* sys, const char* mode, const EngineResult& r) {
+/// The "refine" engine's run with the structural rule on ("pairs") or off
+/// ("windows").
+void report(const char* sys, const char* mode, const EngineRequest& req,
+            bool structural_rule) {
+  const EngineResult r = refine_run(req, {.structural_rule = structural_rule});
   std::printf("%-28s %10s %14s %12d %10.3f\n", sys, mode, to_string(r.verdict),
               std::get<RefineEngineStats>(r.stats).refinements, r.seconds);
 }
@@ -45,8 +39,8 @@ int main() {
     const Module mon = gallery::order_monitor("g", "d");
     const InvariantProperty bad("g before d", {{"fail", true}});
     const EngineRequest req{.modules = {&sys, &mon}, .properties = {&bad}};
-    report("intro example", "pairs", run(req, true));
-    report("intro example", "windows", run(req, false));
+    report("intro example", "pairs", req, true);
+    report("intro example", "windows", req, false);
   }
 
   // Experiments 2 (containment of a transistor-level stage) and 5, in
@@ -56,9 +50,9 @@ int main() {
   for (const auto& [row, label] :
        {std::pair{1, "exp2: Ain||I||OUT <= Aout"}, {4, "exp5: IN||I||OUT |= S"}}) {
     EngineRequest req = table1.obligations()[row].request();
-    report(label, "pairs", run(req, true));
+    report(label, "pairs", req, true);
     req.max_refinements = kWindowCap;
-    report(label, "windows", run(req, false));
+    report(label, "windows", req, false);
     if (row == 1)
       std::printf("  (window-only mode capped at %zu iterations: each failure\n"
                   "   interleaving needs its own ban — the paper's CES-based\n"

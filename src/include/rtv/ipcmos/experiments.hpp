@@ -23,12 +23,12 @@ namespace rtv::ipcmos {
 
 struct ExperimentConfig {
   PipelineTiming timing;
-  /// Per-obligation budget.  Zero state and time caps inherit the
-  /// suite-wide SuiteOptions budget (e.g. the CLI's --max-states/--timeout).
+  /// Per-obligation budget.  A zero state cap inherits the suite-wide
+  /// SuiteOptions budget (e.g. the CLI's --max-states); deadlines come from
+  /// SuiteOptions or Obligation::request().budget.
   struct Budget {
     std::size_t max_refinements = 500;
     std::size_t max_states = 0;
-    double max_seconds = 0.0;
   } verify;
 };
 

@@ -10,9 +10,9 @@
 // timing constraints), a timing-consistent failure is found (a true
 // counterexample), or the iteration budget is exhausted (inconclusive).
 //
-// The "refine" engine (rtv/verify/engine.hpp) composes the request's
-// modules and runs refine_explore() on the result; call the engine unless
-// you need the ablation knobs of RefineOptions.
+// The "refine" engine (rtv/verify/engine.hpp) is refine_run() with the
+// default RefineOptions; call the engine unless you need the ablation knobs
+// of RefineOptions.
 #pragma once
 
 #include <cstddef>
@@ -31,13 +31,20 @@ struct RefineOptions {
   bool structural_rule = true;
 };
 
+/// The "refine" engine's run under `options`: compose the request's
+/// modules under one RunClock (a truncated composition is Inconclusive
+/// without exploring), then run refine_explore() on the result.
+EngineResult refine_run(const EngineRequest& request,
+                        const RefineOptions& options = {});
+
 /// The refinement loop over an already-built, untruncated composition.
-/// `request` supplies the properties, the iteration cap
-/// (max_refinements) and the state budget of each failure search
-/// (budget.max_states, 0 = kDefaultMaxStates); `clock` is the run's clock,
-/// so a composition built under it counts against the same deadline.
+/// `request` supplies the properties and the iteration cap
+/// (max_refinements); `max_states` bounds each failure search; `clock` is
+/// the run's clock, so the composition built under it counts against the
+/// same deadline.
 EngineResult refine_explore(const Composition& comp,
                             const EngineRequest& request, RunClock& clock,
-                            const RefineOptions& options = {});
+                            std::size_t max_states,
+                            const RefineOptions& options);
 
 }  // namespace rtv

@@ -51,7 +51,6 @@ Suite table1_suite(const ExperimentConfig& cfg) {
   const auto configure = [&cfg](Obligation& ob) {
     ob.max_refinements = cfg.verify.max_refinements;
     ob.budget.max_states = cfg.verify.max_states;
-    ob.budget.max_seconds = cfg.verify.max_seconds;
   };
 
   {

@@ -33,7 +33,6 @@ EngineResult verify_topology(const ModuleSet& set, const Netlist& nl,
   const auto scs = short_circuit_properties(nl);
   for (const auto& p : scs) req.properties.push_back(p.get());
   req.budget.max_states = cfg.verify.max_states;
-  req.budget.max_seconds = cfg.verify.max_seconds;
   req.max_refinements = cfg.verify.max_refinements;
   return engine_registry().find("refine")->run(req);
 }

@@ -168,12 +168,7 @@ class RefineEngine final : public Engine {
   }
 
   EngineResult run(const EngineRequest& request) const override {
-    obs::Span span("engine:refine", "engine");
-    return compose_and_search<RefineEngineStats>(
-        name(), request, kDefaultMaxStates,
-        [&](const Composition& comp, RunClock& clock, std::size_t) {
-          return refine_explore(comp, request, clock);
-        });
+    return refine_run(request);
   }
 };
 
@@ -220,6 +215,16 @@ class DiscreteEngine final : public Engine {
 };
 
 }  // namespace
+
+EngineResult refine_run(const EngineRequest& request,
+                        const RefineOptions& options) {
+  obs::Span span("engine:refine", "engine");
+  return compose_and_search<RefineEngineStats>(
+      "refine", request, kDefaultMaxStates,
+      [&](const Composition& comp, RunClock& clock, std::size_t max_states) {
+        return refine_explore(comp, request, clock, max_states, options);
+      });
+}
 
 // ---------------------------------------------------------------------------
 // Registry

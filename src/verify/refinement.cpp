@@ -12,10 +12,8 @@ namespace rtv {
 
 EngineResult refine_explore(const Composition& comp,
                             const EngineRequest& request, RunClock& clock,
+                            std::size_t max_states,
                             const RefineOptions& options) {
-  const std::size_t max_states = request.budget.max_states
-                                     ? request.budget.max_states
-                                     : kDefaultMaxStates;
   EngineResult result;
   RefineEngineStats stats;
   stats.composed_states = comp.ts.num_states();

@@ -3,7 +3,11 @@
 // Fig. 1(c,d) pruning; STG-file environments verify end to end.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "rtv/lazy/refined_system.hpp"
 #include "rtv/sim/simulator.hpp"
@@ -120,6 +124,79 @@ TEST(Integration, ComposedDelayTighteningAffectsVerdict) {
     const EngineResult r =
         refine.run({.modules = {&impl, &listener, &mon}, .properties = {&bad}});
     EXPECT_EQ(r.verdict, Verdict::kVerified);
+  }
+}
+
+/// `k` staggered independent events: a ticker fires s1..sk one unit apart,
+/// s_i enables e_i, and e_i stays pending until it fires.  Once s_k has
+/// fired, e_1..e_k are pending from k distinct instants.  e_1 ([40,41])
+/// outlives the others ([20,21]), so the oldest wave is still pending while
+/// the later events race one another.
+Module staggered_events(int k) {
+  TransitionSystem ts;
+  std::vector<EventId> s, e;
+  for (int i = 1; i <= k; ++i) {
+    s.push_back(ts.add_event("s" + std::to_string(i), DelayInterval::units(1, 1)));
+    e.push_back(ts.add_event("e" + std::to_string(i),
+                             i == 1 ? DelayInterval::units(40, 41)
+                                    : DelayInterval::units(20, 21)));
+  }
+  // A state is (ticks fired, mask of the e_i already fired).
+  std::map<std::pair<int, unsigned>, StateId> ids;
+  std::vector<std::pair<int, unsigned>> todo;
+  const auto id = [&](int step, unsigned mask) {
+    const auto [it, fresh] = ids.try_emplace({step, mask});
+    if (fresh) {
+      it->second = ts.add_state();
+      todo.emplace_back(step, mask);
+    }
+    return it->second;
+  };
+  ts.set_initial(id(0, 0));
+  while (!todo.empty()) {
+    const auto [step, mask] = todo.back();
+    todo.pop_back();
+    const StateId from = ids.at({step, mask});
+    if (step < k) ts.add_transition(from, s[step], id(step + 1, mask));
+    for (int i = 0; i < step; ++i)
+      if (!(mask >> i & 1u)) ts.add_transition(from, e[i], id(step, mask | 1u << i));
+  }
+  return Module("staggered", std::move(ts));
+}
+
+TEST(Integration, WaveMergeKeepsVerdictSound) {
+  // More enabling instants pending at once than RefinedSystem tracks: the
+  // oldest waves merge into weaker pseudo-instants.  That may cost
+  // refinements, never soundness: the refine verdict matches the exact
+  // zone engine's.
+  constexpr int k = static_cast<int>(RefinedSystem::kMaxWaves) + 1;
+  const Module sys = staggered_events(k);
+  {
+    // The merge really runs: after the last tick, k events are pending
+    // from k instants, but the state tracks kMaxWaves waves.
+    RefinedSystem rs(sys.ts());
+    rs.enable_age_rule(true);
+    rs.activate_pair(sys.ts().event_by_label("e1"),
+                     sys.ts().event_by_label("e" + std::to_string(k)));
+    RefinedState st = rs.initial();
+    for (int i = 1; i <= k; ++i)
+      st = rs.advance(st, sys.ts().event_by_label("s" + std::to_string(i)));
+    EXPECT_EQ(sys.ts().enabled_events(st.base).size(), static_cast<std::size_t>(k));
+    EXPECT_EQ(st.gaps.size(), RefinedSystem::kMaxWaves * RefinedSystem::kMaxWaves);
+  }
+  // e2 [22,23] and e3 [23,24] may tie; e2 always beats e4 [24,25]; the
+  // decisive firings all happen while e1's wave is merged with e2's.
+  const std::string last = "e" + std::to_string(k);
+  for (const auto& [first, then] :
+       {std::pair<std::string, std::string>{last, "e1"}, {"e1", last},
+        {"e2", "e3"}, {"e2", "e4"}, {"e3", "e4"}}) {
+    const Module mon = gallery::order_monitor(first, then);
+    const InvariantProperty bad(first + " before " + then, {{"fail", true}});
+    const EngineRequest req{.modules = {&sys, &mon}, .properties = {&bad}};
+    const EngineResult z = engine_registry().find("zone")->run(req);
+    const EngineResult r = refine.run(req);
+    ASSERT_NE(z.verdict, Verdict::kInconclusive) << first << " < " << then;
+    EXPECT_EQ(r.verdict, z.verdict) << first << " < " << then << ": " << r.message;
   }
 }
 

@@ -15,15 +15,6 @@ const RefineEngineStats& stats(const EngineResult& r) {
   return std::get<RefineEngineStats>(r.stats);
 }
 
-/// The "refine" engine's path (compose, then the refinement loop) with
-/// non-default RefineOptions.
-EngineResult run_refine(const EngineRequest& req, const RefineOptions& opts) {
-  RunClock clock("refine", req.budget);
-  ComposeOptions copts;
-  copts.track_chokes = req.track_chokes;
-  return refine_explore(compose(req.modules, copts), req, clock, opts);
-}
-
 TEST(Verify, IntroExampleVerifiesWithRefinements) {
   const Module sys = gallery::intro_example();
   const Module mon = gallery::order_monitor("g", "d");
@@ -92,7 +83,7 @@ TEST(Verify, StructuralRuleOffStillSoundJustSlower) {
   const Module mon = gallery::order_monitor("g", "d");
   const InvariantProperty bad("g before d", {{"fail", true}});
   const EngineRequest req{.modules = {&sys, &mon}, .properties = {&bad}};
-  const EngineResult r = run_refine(req, {.structural_rule = false});
+  const EngineResult r = refine_run(req, {.structural_rule = false});
   EXPECT_EQ(r.verdict, Verdict::kVerified);
   // Window observers only: at least as many iterations.
   const EngineResult fast = refine.run(req);
