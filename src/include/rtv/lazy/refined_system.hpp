@@ -16,10 +16,10 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <string>
 #include <vector>
-
-#include <unordered_map>
 
 #include "rtv/ts/compose.hpp"
 #include "rtv/ts/transition_system.hpp"
@@ -33,37 +33,32 @@ struct BanObserver {
   std::string description;
 };
 
-/// A state of the refined system: a base state plus, per observer, the set
-/// of active match positions.  Codes are (observer_index << 16) | position,
-/// kept sorted so states hash canonically.
+/// A state of the refined system, packed into one run of 32-bit words:
 ///
-/// When the structural relative-timing rule is enabled the state also
-/// carries the *enabling order* of the currently enabled events: event ids
-/// grouped into waves (events of one wave became enabled at the same
-/// firing instant).  Bit 15 of an entry marks the start of a new wave.
-struct RefinedState {
-  StateId base;
-  std::vector<std::uint32_t> codes;
-  std::vector<std::uint16_t> order;
-  /// Capped difference-bound matrix over wave-creation instants, row-major
-  /// n x n for n waves: decoded entry (i, j) bounds t(wave_i) - t(wave_j).
-  /// Entries are biased by the system cap; 0xffff encodes "unbounded".
-  /// Extrapolated to the cap so the state space stays finite.
-  std::vector<std::uint16_t> gaps;
-
-  friend bool operator==(const RefinedState& a, const RefinedState& b) {
-    return a.base == b.base && a.codes == b.codes && a.order == b.order &&
-           a.gaps == b.gaps;
-  }
-};
-
-struct RefinedStateHash {
-  std::size_t operator()(const RefinedState& s) const noexcept;
-};
+///   base | c | k | n | codes[c] | events[k] | waves[k] | gaps[n*n]
+///
+/// * `base`: the base state id.
+/// * `codes`: the active match positions of the observers, each an index
+///   into the concatenation of all observer windows; sorted, so states
+///   compare canonically.
+/// * `events`/`waves`: with the structural relative-timing rule, the
+///   *enabling order* of the pending events — event ids grouped into waves
+///   (events of one wave became enabled at the same firing instant), oldest
+///   wave first — and each entry's wave index.
+/// * `gaps`: a capped difference-bound matrix over wave-creation instants,
+///   row-major n x n: entry (i, j) bounds t(wave_i) - t(wave_j).  Entries
+///   are int32 ticks; INT32_MAX encodes "unbounded".  Extrapolated to the
+///   cap so the state space stays finite.
+///
+/// A PackedState views words owned by a RefinedStateStore or by a caller's
+/// buffer.
+using PackedState = std::span<const std::uint32_t>;
 
 class RefinedSystem {
  public:
-  explicit RefinedSystem(const TransitionSystem& base) : base_(&base) {}
+  /// Indexes the base system's enabled events once; `base` must outlive
+  /// this object and stay unchanged.
+  explicit RefinedSystem(const TransitionSystem& base);
 
   const TransitionSystem& base() const { return *base_; }
 
@@ -78,6 +73,13 @@ class RefinedSystem {
   void enable_age_rule(bool on = true);
   bool age_rule() const { return age_rule_; }
 
+  /// Largest gap cap (one past the largest finite delay bound) the int32
+  /// gap entries represent.
+  static constexpr Time kMaxGapCap = std::numeric_limits<std::int32_t>::max();
+  /// False when the age rule is on and some finite delay bound is too
+  /// large for the gap entries; the matrix must not be used then.
+  bool gaps_in_range() const { return !age_rule_ || cap_ <= kMaxGapCap; }
+
   /// Cap on tracked waves: beyond it the two oldest waves merge with
   /// weaker-bound joins (sound — the merged instant covers both).  Smaller
   /// caps would bound the refined state space at the cost of justification
@@ -87,7 +89,7 @@ class RefinedSystem {
   /// Activate the ordering "before fires before after while both pending".
   /// Returns false if the pair was already active.
   bool activate_pair(EventId before, EventId after);
-  std::size_t num_active_pairs() const { return pairs_.size(); }
+  std::size_t num_active_pairs() const { return num_pairs_; }
 
   /// Register refused outputs (containment chokes): they are enabled in the
   /// implementation even though the composed graph has no transition, so
@@ -99,28 +101,56 @@ class RefinedSystem {
   std::size_t num_observers() const { return observers_.size(); }
   const BanObserver& observer(std::size_t i) const { return observers_[i]; }
 
-  RefinedState initial() const;
+  /// Events with a base transition from s (sorted, deduplicated).
+  std::span<const EventId> enabled(StateId s) const {
+    return {enabled_ev_.data() + enabled_off_[s.value()],
+            enabled_ev_.data() + enabled_off_[s.value() + 1]};
+  }
 
-  /// True iff firing e from s would complete some observer window.
-  bool blocked(const RefinedState& s, EventId e) const;
+  /// Writes the initial state into `out` (previous contents discarded).
+  void initial(std::vector<std::uint32_t>& out) const;
 
-  /// Successor after firing e (e must be base-enabled and not blocked).
-  RefinedState advance(const RefinedState& s, EventId e) const;
+  /// True iff firing e from s would complete some observer window or an
+  /// activated ordering justifies pruning it.
+  bool blocked(PackedState s, EventId e) const;
+
+  /// Writes the successor of s after firing e into `out` (previous contents
+  /// discarded; `out` must not hold s).  e must be base-enabled and not
+  /// blocked.
+  void advance(PackedState s, EventId e, std::vector<std::uint32_t>& out) const;
+
+  static StateId base_of(PackedState s) { return StateId(s[0]); }
+  static std::size_t num_waves(PackedState s) { return s[3]; }
+  /// Upper bound on t(wave_i) - t(wave_j); kTimeInfinity when unbounded.
+  static Time wave_gap(PackedState s, std::size_t i, std::size_t j);
 
  private:
-  bool blocked_by_age(const RefinedState& s, EventId e) const;
   /// Base-enabled events plus choked events of this state, sorted.
-  std::vector<EventId> pseudo_enabled(StateId s) const;
-  std::vector<std::uint16_t> initial_order() const;
-  void advance_age(const RefinedState& s, EventId fired, StateId succ,
-                   RefinedState* out) const;
-  Time decode_gap(std::uint16_t v) const;
-  std::uint16_t encode_gap(Time v) const;
+  std::span<const EventId> pseudo_enabled(StateId s) const;
+  bool blocked_by_age(PackedState s, EventId e) const;
+  void advance_age(PackedState s, EventId fired, StateId succ,
+                   std::vector<std::uint32_t>& out) const;
+  std::uint32_t encode_gap(Time v) const;
+
+  /// One position of an observer window (codes index these).
+  struct WindowPos {
+    EventId event;
+    bool last;  ///< completing this position completes the window
+  };
 
   const TransitionSystem* base_;
   std::vector<BanObserver> observers_;
-  std::vector<std::pair<EventId, EventId>> pairs_;  ///< activated orderings
-  std::unordered_map<StateId::underlying_type, std::vector<EventId>> chokes_;
+  std::vector<std::uint32_t> first_code_;  ///< per observer
+  std::vector<WindowPos> positions_;       ///< all windows, concatenated
+  /// Activated orderings, by their `after` event: befores_[y] lists x.
+  std::vector<std::vector<EventId>> befores_;
+  std::size_t num_pairs_ = 0;
+  /// enabled(): CSR rows per base state.
+  std::vector<std::uint32_t> enabled_off_;
+  std::vector<EventId> enabled_ev_;
+  /// pseudo_enabled(): CSR rows, empty until set_chokes adds a choke.
+  std::vector<std::uint32_t> pseudo_off_;
+  std::vector<EventId> pseudo_ev_;
   bool age_rule_ = false;
   Time cap_ = 1;
 };

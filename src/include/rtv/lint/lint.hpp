@@ -72,12 +72,11 @@ inline constexpr const char* kOutsideCone = "RTV-L016";       ///< note
 inline constexpr const char* kSliceUnreachable = "RTV-L017";  ///< note
 }  // namespace check
 
-/// Constants past this many ticks fall outside the historical 16-bit
-/// digitized age range (the PR 3 wrap-bug class).  Ages are 64-bit now, so
-/// such models verify correctly — but the discrete engine's tick-stepping
-/// cost is linear in the constants, so RTV-L013 flags them as a cost
-/// hazard, and RTV-L012 escalates to an error when the configured state
-/// budget makes truncation certain.
+/// Constants past this many ticks (the old 16-bit digitized age range)
+/// verify correctly — ages are 64-bit — but the discrete engine's
+/// tick-stepping cost is linear in the constants, so RTV-L013 flags them
+/// as a cost hazard, and RTV-L012 escalates to an error when the
+/// configured state budget makes truncation certain.
 inline constexpr Time kLegacyAgeRangeTicks = 65535;
 
 struct LintOptions {

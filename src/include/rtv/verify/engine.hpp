@@ -122,6 +122,11 @@ inline constexpr const char* kComposeBudget =
 /// Refinement engine only: the iteration cap was reached.
 inline constexpr const char* kRefinementBudget =
     "refinement budget exhausted";
+/// Refinement engine only: a relative-timing constraint must be justified
+/// by the wave-gap matrix, but a finite delay bound is too large for its
+/// int32 entries (RefinedSystem::kMaxGapCap).
+inline constexpr const char* kGapRange =
+    "timing constants exceed the refinement gap range";
 /// Historical (discrete engine): emitted while digitized ages were 16-bit
 /// and delay bounds past 65535 ticks had to be refused.  Ages are 64-bit
 /// now, so the built-in engines no longer emit it; the constant stays so

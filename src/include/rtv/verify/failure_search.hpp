@@ -28,6 +28,8 @@ struct Failure {
 
 struct FailureSearchStats {
   std::size_t states_explored = 0;
+  /// Refined successors computed (new or already interned).
+  std::size_t successors = 0;
   bool truncated = false;
   /// Why the search stopped early (a rtv::stop_reason string, static
   /// storage); null when not truncated.

@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,10 +17,11 @@
 
 namespace rtv {
 
+/// Views only: the caller keeps the enabled events alive for the checks.
 struct PropertyContext {
   const TransitionSystem& ts;
   StateId state;
-  const std::vector<EventId>& raw_enabled;
+  std::span<const EventId> raw_enabled;  ///< sorted
 };
 
 class SafetyProperty {
@@ -36,7 +38,7 @@ class SafetyProperty {
   /// `successor` (whose raw enabled set is provided).
   virtual std::optional<std::string> check_event(
       const PropertyContext&, EventId event, StateId successor,
-      const std::vector<EventId>& successor_enabled) const {
+      std::span<const EventId> successor_enabled) const {
     (void)event;
     (void)successor;
     (void)successor_enabled;
@@ -88,7 +90,7 @@ class PersistencyProperty final : public SafetyProperty {
   std::string name() const override { return "persistency"; }
   std::optional<std::string> check_event(
       const PropertyContext&, EventId event, StateId successor,
-      const std::vector<EventId>& successor_enabled) const override;
+      std::span<const EventId> successor_enabled) const override;
 
   /// Exempt labels (sorted), for static analysis (rtv/lint): an exempt
   /// label no module declares is a dangling reference.

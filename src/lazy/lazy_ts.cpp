@@ -1,47 +1,72 @@
 #include "rtv/lazy/refined_system.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
-
-#include "rtv/base/hash.hpp"
 
 namespace rtv {
 
-std::size_t RefinedStateHash::operator()(const RefinedState& s) const noexcept {
-  std::size_t h = std::hash<StateId>()(s.base);
-  for (std::uint32_t c : s.codes) h = hash_mix(h, c);
-  for (std::uint16_t o : s.order) h = hash_mix(h, o);
-  for (std::uint16_t g : s.gaps) h = hash_mix(h, g);
-  return h;
-}
-
 namespace {
 
-constexpr std::uint16_t kWaveStart = 0x8000;
-constexpr std::uint16_t kIdMask = 0x7fff;
+/// Gap word meaning "unbounded".
+constexpr std::uint32_t kGapInf = RefinedSystem::kMaxGapCap;
+/// Words before the codes: base, c, k, n.
+constexpr std::size_t kHeader = 4;
 
-std::uint32_t code(std::size_t obs, std::uint32_t pos) {
-  return static_cast<std::uint32_t>(obs << 16) | pos;
+/// The regions of a packed state (layout in refined_system.hpp).
+struct Unpacked {
+  explicit Unpacked(PackedState s)
+      : codes(s.subspan(kHeader, s[1])),
+        events(s.subspan(kHeader + s[1], s[2])),
+        waves(s.subspan(kHeader + s[1] + s[2], s[2])),
+        gaps(s.subspan(kHeader + s[1] + 2 * s[2],
+                       std::size_t{s[3]} * s[3])),
+        n(s[3]) {}
+  PackedState codes, events, waves, gaps;
+  std::size_t n;
+};
+
+Time decode_gap(std::uint32_t v) {
+  return v == kGapInf ? kTimeInfinity : static_cast<std::int32_t>(v);
 }
-std::size_t code_obs(std::uint32_t c) { return c >> 16; }
-std::uint32_t code_pos(std::uint32_t c) { return c & 0xffffu; }
 
-/// Wave index of every entry of an order vector.
-std::vector<std::size_t> wave_of_entries(const std::vector<std::uint16_t>& order) {
-  std::vector<std::size_t> w(order.size());
-  std::size_t wave = static_cast<std::size_t>(-1);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    if (order[i] & kWaveStart) ++wave;
-    w[i] = wave;
+/// CSR rows of sorted, deduplicated events per state.
+struct EventRows {
+  std::vector<std::uint32_t> off{0};
+  std::vector<EventId> ev;
+  void close_row() {
+    const auto begin = ev.begin() + off.back();
+    std::sort(begin, ev.end());
+    ev.erase(std::unique(begin, ev.end()), ev.end());
+    off.push_back(static_cast<std::uint32_t>(ev.size()));
   }
-  return w;
-}
+};
 
 }  // namespace
 
+RefinedSystem::RefinedSystem(const TransitionSystem& base) : base_(&base) {
+  EventRows rows;
+  rows.off.reserve(base.num_states() + 1);
+  for (std::size_t s = 0; s < base.num_states(); ++s) {
+    for (const Transition& t :
+         base.transitions_from(StateId(static_cast<StateId::underlying_type>(s))))
+      rows.ev.push_back(t.event);
+    rows.close_row();
+  }
+  enabled_off_ = std::move(rows.off);
+  enabled_ev_ = std::move(rows.ev);
+}
+
+Time RefinedSystem::wave_gap(PackedState s, std::size_t i, std::size_t j) {
+  const Unpacked u(s);
+  return decode_gap(u.gaps[i * u.n + j]);
+}
+
 void RefinedSystem::add_observer(BanObserver obs) {
   assert(!obs.window.empty());
-  assert(obs.window.size() < 0x10000);
+  first_code_.push_back(static_cast<std::uint32_t>(positions_.size()));
+  for (std::size_t i = 0; i < obs.window.size(); ++i)
+    positions_.push_back({obs.window[i], i + 1 == obs.window.size()});
   observers_.push_back(std::move(obs));
 }
 
@@ -60,112 +85,103 @@ void RefinedSystem::enable_age_rule(bool on) {
 }
 
 void RefinedSystem::set_chokes(std::span<const ChokeRecord> chokes) {
-  for (const ChokeRecord& c : chokes)
-    chokes_[c.state.value()].push_back(c.event);
-  for (auto& [state, events] : chokes_) {
-    std::sort(events.begin(), events.end());
-    events.erase(std::unique(events.begin(), events.end()), events.end());
+  if (chokes.empty()) return;
+  std::vector<std::pair<StateId::underlying_type, EventId>> extra;
+  extra.reserve(chokes.size());
+  for (const ChokeRecord& c : chokes) extra.emplace_back(c.state.value(), c.event);
+  std::sort(extra.begin(), extra.end());
+  EventRows rows;
+  rows.off.reserve(enabled_off_.size());
+  auto it = extra.begin();
+  for (std::size_t s = 0; s + 1 < enabled_off_.size(); ++s) {
+    const auto row =
+        pseudo_enabled(StateId(static_cast<StateId::underlying_type>(s)));
+    rows.ev.insert(rows.ev.end(), row.begin(), row.end());
+    for (; it != extra.end() && it->first == s; ++it) rows.ev.push_back(it->second);
+    rows.close_row();
   }
+  pseudo_off_ = std::move(rows.off);
+  pseudo_ev_ = std::move(rows.ev);
 }
 
-std::vector<EventId> RefinedSystem::pseudo_enabled(StateId s) const {
-  std::vector<EventId> out = base_->enabled_events(s);
-  const auto it = chokes_.find(s.value());
-  if (it != chokes_.end()) {
-    out.insert(out.end(), it->second.begin(), it->second.end());
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-  }
-  return out;
+std::span<const EventId> RefinedSystem::pseudo_enabled(StateId s) const {
+  if (pseudo_off_.empty()) return enabled(s);
+  return {pseudo_ev_.data() + pseudo_off_[s.value()],
+          pseudo_ev_.data() + pseudo_off_[s.value() + 1]};
 }
 
-std::vector<std::uint16_t> RefinedSystem::initial_order() const {
-  std::vector<std::uint16_t> order;
-  bool first = true;
-  for (EventId e : pseudo_enabled(base_->initial())) {
-    order.push_back(static_cast<std::uint16_t>(e.value()) |
-                    (first ? kWaveStart : 0));
-    first = false;
-  }
-  return order;
-}
-
-RefinedState RefinedSystem::initial() const {
-  RefinedState s;
-  s.base = base_->initial();
+void RefinedSystem::initial(std::vector<std::uint32_t>& out) const {
+  const StateId b = base_->initial();
+  out.assign(kHeader, 0);
+  out[0] = b.value();
   for (std::size_t i = 0; i < observers_.size(); ++i) {
     const BanObserver& o = observers_[i];
-    if (o.from_start || o.anchor_state == s.base) {
-      s.codes.push_back(code(i, 0));
-    }
+    if (o.from_start || o.anchor_state == b) out.push_back(first_code_[i]);
   }
-  std::sort(s.codes.begin(), s.codes.end());
+  std::sort(out.begin() + kHeader, out.end());
+  out[1] = static_cast<std::uint32_t>(out.size() - kHeader);
   // Wave bookkeeping only matters once an ordering is active; the first
   // iteration explores the plain untimed product.
-  if (age_rule_ && !pairs_.empty()) {
-    s.order = initial_order();
-    if (!s.order.empty()) s.gaps.assign(1, encode_gap(0));  // one wave
+  if (age_rule_ && num_pairs_ > 0) {
+    const std::span<const EventId> pending = pseudo_enabled(b);
+    if (pending.empty()) return;
+    out[2] = static_cast<std::uint32_t>(pending.size());
+    out[3] = 1;  // one wave
+    for (EventId e : pending) out.push_back(e.value());
+    out.insert(out.end(), pending.size(), 0);
+    out.push_back(encode_gap(0));
   }
-  return s;
 }
 
-namespace {
-constexpr std::uint16_t kGapInf = 0xffff;
-}  // namespace
-
-Time RefinedSystem::decode_gap(std::uint16_t v) const {
-  return static_cast<Time>(v) - cap_;
-}
-
-std::uint16_t RefinedSystem::encode_gap(Time v) const {
+std::uint32_t RefinedSystem::encode_gap(Time v) const {
+  assert(gaps_in_range());
   // Extrapolation: bounds beyond the cap carry no extra information for
   // any blocking decision, so they are clamped (upper bounds round up to
   // "unbounded", lower bounds saturate).
   if (v >= cap_) return kGapInf;
   if (v < -cap_) v = -cap_;
-  return static_cast<std::uint16_t>(v + cap_);
+  return static_cast<std::uint32_t>(static_cast<std::int32_t>(v));
 }
 
 bool RefinedSystem::activate_pair(EventId before, EventId after) {
-  const auto pair = std::make_pair(before, after);
-  if (std::find(pairs_.begin(), pairs_.end(), pair) != pairs_.end())
-    return false;
-  pairs_.push_back(pair);
+  if (befores_.size() <= after.value()) befores_.resize(after.value() + 1);
+  std::vector<EventId>& list = befores_[after.value()];
+  if (std::find(list.begin(), list.end(), before) != list.end()) return false;
+  list.push_back(before);
+  ++num_pairs_;
   return true;
 }
 
-bool RefinedSystem::blocked_by_age(const RefinedState& s, EventId e) const {
-  if (pairs_.empty()) return false;
-  const Time lo = base_->delay(e).lo();
-  const std::vector<std::size_t> waves = wave_of_entries(s.order);
-  const std::size_t n =
-      s.order.empty() ? 0 : waves.back() + 1;
+bool RefinedSystem::blocked_by_age(PackedState s, EventId e) const {
+  if (e.value() >= befores_.size() || befores_[e.value()].empty()) return false;
+  const std::vector<EventId>& befores = befores_[e.value()];
+  const Unpacked u(s);
+  const std::size_t k = u.events.size();
   std::size_t e_wave = static_cast<std::size_t>(-1);
-  for (std::size_t i = 0; i < s.order.size(); ++i) {
-    if (EventId(s.order[i] & kIdMask) == e) {
-      e_wave = waves[i];
+  for (std::size_t i = 0; i < k; ++i) {
+    if (u.events[i] == e.value()) {
+      e_wave = u.waves[i];
       break;
     }
   }
   if (e_wave == static_cast<std::size_t>(-1)) return false;
+  const Time lo = base_->delay(e).lo();
 
   // An activated pair (x before e) blocks e when x is pending and e's
   // earliest firing provably exceeds x's deadline:
   //   lower(t(wave_e) - t(wave_x)) + lo(e) > hi(x).
   // In every consistent timing x then fires (or is disabled) strictly
   // first, so pruning e only removes timing-inconsistent runs.
-  for (std::size_t i = 0; i < s.order.size(); ++i) {
-    const EventId x(s.order[i] & kIdMask);
+  for (std::size_t i = 0; i < k; ++i) {
+    const EventId x(u.events[i]);
     if (x == e) continue;
-    if (std::find(pairs_.begin(), pairs_.end(), std::make_pair(x, e)) ==
-        pairs_.end())
-      continue;
+    if (std::find(befores.begin(), befores.end(), x) == befores.end()) continue;
     const DelayInterval dx = base_->delay(x);
     if (!dx.upper_bounded()) continue;
-    const std::size_t w = waves[i];
+    const std::size_t w = u.waves[i];
     Time lower = 0;
     if (w != e_wave) {
-      const std::uint16_t ub = s.gaps[w * n + e_wave];  // t(w) - t(e_wave) <= ub
+      const std::uint32_t ub = u.gaps[w * u.n + e_wave];  // t(w) - t(e_wave) <= ub
       // Extrapolated ("unbounded") gaps carry no lower bound on
       // t(e_wave) - t(w).  Substituting -cap_ here would be unsound for
       // events whose *lower* bound exceeds the cap (cap_ only covers the
@@ -179,41 +195,39 @@ bool RefinedSystem::blocked_by_age(const RefinedState& s, EventId e) const {
   return false;
 }
 
-bool RefinedSystem::blocked(const RefinedState& s, EventId e) const {
-  if (age_rule_ && blocked_by_age(s, e)) return true;
-  for (std::uint32_t c : s.codes) {
-    const BanObserver& o = observers_[code_obs(c)];
-    const std::uint32_t pos = code_pos(c);
-    if (pos + 1 == o.window.size() && o.window[pos] == e) return true;
+bool RefinedSystem::blocked(PackedState s, EventId e) const {
+  for (std::uint32_t c : Unpacked(s).codes) {
+    if (positions_[c].last && positions_[c].event == e) return true;
   }
-  return false;
+  return age_rule_ && num_pairs_ > 0 && blocked_by_age(s, e);
 }
 
-void RefinedSystem::advance_age(const RefinedState& s, EventId fired,
-                                StateId succ, RefinedState* out) const {
-  const std::vector<EventId> enabled = pseudo_enabled(succ);
-  const std::vector<std::size_t> old_wave = wave_of_entries(s.order);
-  const std::size_t n_old = s.order.empty() ? 0 : old_wave.back() + 1;
+void RefinedSystem::advance_age(PackedState s, EventId fired, StateId succ,
+                                std::vector<std::uint32_t>& out) const {
+  const std::span<const EventId> enabled = pseudo_enabled(succ);
+  const Unpacked u(s);
+  const std::size_t k = u.events.size();
+  const std::size_t n_old = u.n;
 
   std::size_t fired_wave = 0;
-  for (std::size_t i = 0; i < s.order.size(); ++i) {
-    if (EventId(s.order[i] & kIdMask) == fired) {
-      fired_wave = old_wave[i];
+  for (std::size_t i = 0; i < k; ++i) {
+    if (u.events[i] == fired.value()) {
+      fired_wave = u.waves[i];
       break;
     }
   }
 
   // Working DBM over the old waves plus the firing instant W = index n_old,
   // in plain Time with kTimeInfinity for "unbounded".
+  constexpr std::size_t kMaxN = kMaxWaves + 1;
   const std::size_t n = n_old + 1;
-  std::vector<Time> m(n * n, kTimeInfinity);
+  assert(n <= kMaxN);
+  std::array<Time, kMaxN * kMaxN> m;
   auto at = [&](std::size_t i, std::size_t j) -> Time& { return m[i * n + j]; };
-  for (std::size_t i = 0; i < n_old; ++i) {
-    for (std::size_t j = 0; j < n_old; ++j) {
-      const std::uint16_t v = s.gaps[i * n_old + j];
-      at(i, j) = (v == kGapInf) ? kTimeInfinity : decode_gap(v);
-    }
-  }
+  std::fill_n(m.begin(), n * n, kTimeInfinity);
+  for (std::size_t i = 0; i < n_old; ++i)
+    for (std::size_t j = 0; j < n_old; ++j)
+      at(i, j) = decode_gap(u.gaps[i * n_old + j]);
   for (std::size_t i = 0; i < n; ++i) at(i, i) = 0;
 
   // The firing instant: within the fired event's delay window of its
@@ -225,129 +239,117 @@ void RefinedSystem::advance_age(const RefinedState& s, EventId fired,
   at(fired_wave, n_old) = std::min(at(fired_wave, n_old), -df.lo());
   for (std::size_t j = 0; j < n_old; ++j)
     at(j, n_old) = std::min(at(j, n_old), Time{0});
-  for (std::size_t i = 0; i < s.order.size(); ++i) {
-    const EventId x(s.order[i] & kIdMask);
+  for (std::size_t i = 0; i < k; ++i) {
+    const EventId x(u.events[i]);
     if (x == fired) continue;
     const DelayInterval dx = base_->delay(x);
     if (dx.upper_bounded())
-      at(n_old, old_wave[i]) = std::min(at(n_old, old_wave[i]), dx.hi());
+      at(n_old, u.waves[i]) = std::min(at(n_old, u.waves[i]), dx.hi());
   }
 
   // Shortest-path closure.
-  for (std::size_t k = 0; k < n; ++k)
+  for (std::size_t kk = 0; kk < n; ++kk)
     for (std::size_t i = 0; i < n; ++i) {
-      if (at(i, k) >= kTimeInfinity) continue;
+      if (at(i, kk) >= kTimeInfinity) continue;
       for (std::size_t j = 0; j < n; ++j) {
-        if (at(k, j) >= kTimeInfinity) continue;
-        const Time v = at(i, k) + at(k, j);
+        if (at(kk, j) >= kTimeInfinity) continue;
+        const Time v = at(i, kk) + at(kk, j);
         if (v < at(i, j)) at(i, j) = v;
       }
     }
 
-  // Survivors and the fresh wave (events newly enabled at instant W).
-  struct Entry {
-    EventId event;
-    std::size_t wave;
+  // Survivors (pending entries still enabled, other than the fired one)
+  // and the fresh wave (events newly enabled at instant W: the fired
+  // event again, or events that were not pending).
+  auto survives = [&](std::size_t i) {
+    const EventId e(u.events[i]);
+    return e != fired && std::binary_search(enabled.begin(), enabled.end(), e);
   };
-  std::vector<Entry> survivors;
-  survivors.reserve(s.order.size());
-  for (std::size_t i = 0; i < s.order.size(); ++i) {
-    const EventId e(s.order[i] & kIdMask);
-    if (e == fired) continue;
-    if (!std::binary_search(enabled.begin(), enabled.end(), e)) continue;
-    survivors.push_back({e, old_wave[i]});
+  auto fresh = [&](EventId e) {
+    return e == fired ||
+           std::find(u.events.begin(), u.events.end(), e.value()) == u.events.end();
+  };
+  std::array<std::size_t, kMaxN> kept{};  // old wave indices with survivors
+  std::size_t n_kept = 0, entries = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    if (!survives(i)) continue;
+    ++entries;
+    if (std::find(kept.begin(), kept.begin() + n_kept, u.waves[i]) ==
+        kept.begin() + n_kept)
+      kept[n_kept++] = u.waves[i];
   }
-  std::vector<EventId> fresh;
-  fresh.reserve(enabled.size());
-  for (EventId e : enabled) {
-    const bool surviving =
-        std::any_of(survivors.begin(), survivors.end(),
-                    [&](const Entry& en) { return en.event == e; });
-    if (!surviving) fresh.push_back(e);
-  }
-
-  std::vector<std::size_t> kept;  // old wave indices with survivors
-  kept.reserve(survivors.size() + 1);
-  for (const Entry& en : survivors) {
-    if (std::find(kept.begin(), kept.end(), en.wave) == kept.end())
-      kept.push_back(en.wave);
-  }
-  if (!fresh.empty()) kept.push_back(n_old);  // the fresh wave instant
+  const std::size_t n_fresh =
+      static_cast<std::size_t>(std::count_if(enabled.begin(), enabled.end(), fresh));
+  entries += n_fresh;
+  if (n_fresh > 0) kept[n_kept++] = n_old;  // the fresh wave instant
 
   // Bound the tracked waves: merge the oldest two into one pseudo-instant
   // whose bounds cover both (elementwise weaker), reassigning the older
   // wave's events.  Sound: every constraint stated about the merged
-  // instant holds for both original instants.
-  std::vector<std::vector<std::size_t>> merged_into(kept.size());
-  for (std::size_t a = 0; a < kept.size(); ++a) merged_into[a] = {kept[a]};
-  while (kept.size() > kMaxWaves) {
-    const std::size_t w0 = kept[0], w1 = kept[1];
+  // instant holds for both original instants.  After `merges` merges the
+  // new wave 0 holds kept[merges], kept[merges - 1], ..., kept[0] (newest
+  // first) and new wave a > 0 is kept[merges + a].
+  std::size_t merges = 0;
+  while (n_kept - merges > kMaxWaves) {
+    const std::size_t w0 = kept[merges], w1 = kept[merges + 1];
     for (std::size_t j = 0; j < n; ++j) {
       at(w1, j) = std::max(at(w1, j), at(w0, j));
       at(j, w1) = std::max(at(j, w1), at(j, w0));
     }
     at(w1, w1) = 0;
-    merged_into[1].insert(merged_into[1].end(), merged_into[0].begin(),
-                          merged_into[0].end());
-    merged_into.erase(merged_into.begin());
-    kept.erase(kept.begin());
+    ++merges;
   }
-  const std::size_t n_new = kept.size();
+  const std::size_t n_new = n_kept - merges;
 
-  out->order.clear();
-  out->gaps.assign(n_new * n_new, kGapInf);
+  const std::size_t ev_at = out.size();
+  const std::size_t gap_at = ev_at + 2 * entries;
+  out.resize(gap_at + n_new * n_new);
+  out[2] = static_cast<std::uint32_t>(entries);
+  out[3] = static_cast<std::uint32_t>(n_new);
+  std::size_t next = 0;
+  auto emit = [&](std::uint32_t event, std::size_t wave) {
+    out[ev_at + next] = event;
+    out[ev_at + entries + next] = static_cast<std::uint32_t>(wave);
+    ++next;
+  };
+  auto emit_source = [&](std::size_t src, std::size_t wave) {
+    if (src == n_old) {
+      for (EventId e : enabled)
+        if (fresh(e)) emit(e.value(), wave);
+    } else {
+      for (std::size_t i = 0; i < k; ++i)
+        if (u.waves[i] == src && survives(i)) emit(u.events[i], wave);
+    }
+  };
+  if (n_new > 0)
+    for (std::size_t r = merges + 1; r-- > 0;) emit_source(kept[r], 0);
+  for (std::size_t a = 1; a < n_new; ++a) emit_source(kept[merges + a], a);
+
   for (std::size_t a = 0; a < n_new; ++a)
     for (std::size_t b = 0; b < n_new; ++b)
-      out->gaps[a * n_new + b] = encode_gap(at(kept[a], kept[b]));
-  for (std::size_t a = 0; a < n_new; ++a)
-    out->gaps[a * n_new + a] = encode_gap(0);
-
-  for (std::size_t a = 0; a < n_new; ++a) {
-    bool first = true;
-    for (std::size_t src : merged_into[a]) {
-      if (src == n_old) {
-        for (EventId e : fresh) {
-          out->order.push_back(static_cast<std::uint16_t>(e.value()) |
-                               (first ? kWaveStart : 0));
-          first = false;
-        }
-      } else {
-        for (const Entry& en : survivors) {
-          if (en.wave != src) continue;
-          out->order.push_back(static_cast<std::uint16_t>(en.event.value()) |
-                               (first ? kWaveStart : 0));
-          first = false;
-        }
-      }
-    }
-  }
+      out[gap_at + a * n_new + b] =
+          encode_gap(a == b ? 0 : at(kept[merges + a], kept[merges + b]));
 }
 
-RefinedState RefinedSystem::advance(const RefinedState& s, EventId e) const {
+void RefinedSystem::advance(PackedState s, EventId e,
+                            std::vector<std::uint32_t>& out) const {
   assert(!blocked(s, e));
-  const auto succ = base_->successor(s.base, e);
+  const auto succ = base_->successor(base_of(s), e);
   assert(succ.has_value());
-  RefinedState out;
-  out.base = *succ;
-  for (std::uint32_t c : s.codes) {
-    const BanObserver& o = observers_[code_obs(c)];
-    const std::uint32_t pos = code_pos(c);
-    if (o.window[pos] == e && pos + 1 < o.window.size()) {
-      out.codes.push_back(code(code_obs(c), pos + 1));
-    }
+  out.assign(kHeader, 0);
+  out[0] = succ->value();
+  for (std::uint32_t c : Unpacked(s).codes) {
     // Non-matching positions die: the run diverged from the window.
+    if (positions_[c].event == e && !positions_[c].last) out.push_back(c + 1);
   }
   for (std::size_t i = 0; i < observers_.size(); ++i) {
     const BanObserver& o = observers_[i];
-    if (!o.from_start && o.anchor_state == out.base) {
-      out.codes.push_back(code(i, 0));
-    }
+    if (!o.from_start && o.anchor_state == *succ) out.push_back(first_code_[i]);
   }
-  std::sort(out.codes.begin(), out.codes.end());
-  out.codes.erase(std::unique(out.codes.begin(), out.codes.end()),
-                  out.codes.end());
-  if (age_rule_ && !pairs_.empty()) advance_age(s, e, out.base, &out);
-  return out;
+  std::sort(out.begin() + kHeader, out.end());
+  out.erase(std::unique(out.begin() + kHeader, out.end()), out.end());
+  out[1] = static_cast<std::uint32_t>(out.size() - kHeader);
+  if (age_rule_ && num_pairs_ > 0) advance_age(s, e, *succ, out);
 }
 
 }  // namespace rtv

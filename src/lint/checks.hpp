@@ -56,7 +56,7 @@ void check_well_formed(CheckContext& ctx);
 void check_reachability(CheckContext& ctx);
 
 /// RTV-L011..L013: delay constants vs. the time-infinity sentinel, the
-/// digitized state budget and the historical 16-bit age range.
+/// digitized state budget and the digitized walking cost.
 void check_engine_range(CheckContext& ctx);
 
 /// RTV-L016, L017: what the cone-of-influence slicer would drop.

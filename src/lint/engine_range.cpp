@@ -3,9 +3,8 @@
 // The discrete engine digitizes: it steps the composition tick by tick, so
 // its exploration cost is linear in the delay constants, and its config
 // budget caps how far it can step.  Both facts are knowable from the model
-// and the budget alone — this is where the historical 16-bit age-wrap bug
-// class (a model with constants past 65535 ticks silently truncating)
-// becomes a static finding instead of a mysterious inconclusive run.
+// and the budget alone, so a doomed or slow digitized run becomes a static
+// finding instead of a mysterious inconclusive run.
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -84,19 +83,19 @@ void check_engine_range(CheckContext& ctx) {
         continue;  // L013 would restate the same constant
       }
 
-      // RTV-L013: past the historical 16-bit age range the model still
-      // verifies correctly (ages are 64-bit), but digitized exploration
-      // walks every tick — constants this large make the discrete engine
-      // the wrong tool.
+      // RTV-L013: past 65535 ticks the model still verifies correctly
+      // (ages are 64-bit), but digitized exploration walks every tick —
+      // constants this large make the discrete engine the wrong tool.
       if (demand > kLegacyAgeRangeTicks) {
         ctx.emit(check::kDigitizationCost, Severity::kWarning,
                  ctx.modules[mi]->name(), ev.label,
                  "event '" + ev.label + "' declares delay constant " +
                      ticks_with_units(demand) +
-                     ", beyond the historical 16-bit age range (65535 "
-                     "ticks); digitized exploration walks every tick, so "
-                     "expect the discrete engine to be slow here — prefer "
-                     "the zone or refinement engine");
+                     ", beyond 65535 ticks; digitized exploration walks "
+                     "every tick, so expect the discrete engine to be slow "
+                     "here — prefer the zone engine, or the refinement "
+                     "engine while upper bounds stay below 2147483647 "
+                     "ticks (its int32 wave-gap range)");
       }
     }
   }

@@ -1,39 +1,40 @@
 #include "rtv/verify/failure_search.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_map>
 
 #include "rtv/base/log.hpp"
+#include "rtv/lazy/state_store.hpp"
 
 namespace rtv {
 
 namespace {
 
+constexpr RefinedStateStore::Id kNoParent = ~RefinedStateStore::Id{0};
+
+std::vector<EventId> to_vector(std::span<const EventId> events) {
+  return {events.begin(), events.end()};
+}
+
 /// Rebuild a trace (over base states, with raw enabling sets) from BFS
 /// parent pointers in refined-state space.
-Trace unwind(const TransitionSystem& base,
-             const std::vector<RefinedState>& states,
-             const std::vector<std::ptrdiff_t>& parent,
-             const std::vector<EventId>& via, std::ptrdiff_t leaf) {
+Trace unwind(const RefinedSystem& sys, const RefinedStateStore& store,
+             const std::vector<RefinedStateStore::Id>& parent,
+             const std::vector<EventId>& via, RefinedStateStore::Id leaf) {
   std::vector<std::pair<StateId, EventId>> rev;
-  std::ptrdiff_t cur = leaf;
-  while (parent[static_cast<std::size_t>(cur)] >= 0) {
-    const std::ptrdiff_t par = parent[static_cast<std::size_t>(cur)];
-    rev.emplace_back(states[static_cast<std::size_t>(par)].base,
-                     via[static_cast<std::size_t>(cur)]);
-    cur = par;
+  for (RefinedStateStore::Id cur = leaf; parent[cur] != kNoParent;
+       cur = parent[cur]) {
+    rev.emplace_back(RefinedSystem::base_of(store.state(parent[cur])), via[cur]);
   }
   Trace t;
   for (auto it = rev.rbegin(); it != rev.rend(); ++it) {
     TraceStep step;
     step.state = it->first;
     step.event = it->second;
-    step.enabled = base.enabled_events(it->first);
+    step.enabled = to_vector(sys.enabled(it->first));
     t.steps.push_back(std::move(step));
   }
-  t.final_state = states[static_cast<std::size_t>(leaf)].base;
-  t.final_enabled = base.enabled_events(t.final_state);
+  t.final_state = RefinedSystem::base_of(store.state(leaf));
+  t.final_enabled = to_vector(sys.enabled(t.final_state));
   return t;
 }
 
@@ -44,52 +45,62 @@ std::optional<Failure> find_failure(
     std::span<const SafetyProperty* const> properties, std::size_t max_states,
     FailureSearchStats* stats, RunClock* clock) {
   const TransitionSystem& base = sys.base();
+  max_states = std::min(max_states, RefinedStateStore::kMaxStates);
 
-  // Chokes indexed by base state for O(1) lookup.
-  std::unordered_map<StateId::underlying_type, std::vector<const ChokeRecord*>>
-      chokes_at;
-  for (const ChokeRecord& c : chokes) chokes_at[c.state.value()].push_back(&c);
+  // Chokes sorted by base state (stable: each state keeps its records'
+  // order), looked up by binary search.
+  std::vector<const ChokeRecord*> chokes_by_state;
+  chokes_by_state.reserve(chokes.size());
+  for (const ChokeRecord& c : chokes) chokes_by_state.push_back(&c);
+  const auto state_of = [](const ChokeRecord* c) { return c->state.value(); };
+  std::ranges::stable_sort(chokes_by_state, {}, state_of);
 
-  std::unordered_map<RefinedState, std::ptrdiff_t, RefinedStateHash> index;
-  std::vector<RefinedState> states;
-  std::vector<std::ptrdiff_t> parent;
-  std::vector<EventId> via;
-  std::deque<std::ptrdiff_t> queue;
   // Pre-sizing skips the early growth reallocations; the hint is capped
   // because find_failure runs once per refinement iteration and most
   // iterations stop at a shallow failure — sizing to the full base graph
   // would pay MBs of zeroed memory hundreds of times per run.
   const std::size_t hint = std::min<std::size_t>(
       {std::max<std::size_t>(base.num_states(), 256), max_states, 4096});
-  index.reserve(hint);
-  states.reserve(hint);
+  // Ids are dense in first-visit order, so expanding them in ascending
+  // order is the BFS queue.
+  RefinedStateStore store(hint);
+  std::vector<RefinedStateStore::Id> parent;
+  std::vector<EventId> via;
   parent.reserve(hint);
   via.reserve(hint);
+  std::vector<std::uint32_t> scratch;
+  std::size_t successors = 0;
 
-  auto intern = [&](const RefinedState& rs, std::ptrdiff_t par, EventId e) {
-    auto it = index.find(rs);
-    if (it != index.end()) return;
-    const std::ptrdiff_t id = static_cast<std::ptrdiff_t>(states.size());
-    index.emplace(rs, id);
-    states.push_back(rs);
-    parent.push_back(par);
-    via.push_back(e);
-    queue.push_back(id);
+  auto finish = [&](std::optional<Failure> f) {
+    if (stats) {
+      stats->states_explored = store.size();
+      stats->successors = successors;
+    }
+    return f;
+  };
+  auto fail_at = [&](RefinedStateStore::Id id, std::string description) {
+    Failure f;
+    f.trace = unwind(sys, store, parent, via, id);
+    f.description = std::move(description);
+    return f;
   };
 
-  intern(sys.initial(), -1, EventId::invalid());
+  sys.initial(scratch);
+  store.intern(scratch);
+  parent.push_back(kNoParent);
+  via.push_back(EventId::invalid());
 
-  while (!queue.empty()) {
-    if (states.size() > max_states) {
+  for (RefinedStateStore::Id id = 0; id < store.size(); ++id) {
+    if (store.size() > max_states) {
       if (stats) {
         stats->truncated = true;
         stats->stop_reason = stop_reason::kStateBudget;
       }
-      RTV_WARN << "failure search truncated at " << states.size() << " states";
+      RTV_WARN << "failure search truncated at " << store.size() << " states";
       break;
     }
     if (clock) {
-      if (const char* reason = clock->tick(states.size())) {
+      if (const char* reason = clock->tick(store.size())) {
         if (stats) {
           stats->truncated = true;
           stats->stop_reason = reason;
@@ -98,64 +109,54 @@ std::optional<Failure> find_failure(
         break;
       }
     }
-    const std::ptrdiff_t id = queue.front();
-    queue.pop_front();
-    const RefinedState rs = states[static_cast<std::size_t>(id)];
-    const std::vector<EventId> raw_enabled = base.enabled_events(rs.base);
-    const PropertyContext ctx{base, rs.base, raw_enabled};
+    const PackedState rs = store.state(id);
+    const StateId b = RefinedSystem::base_of(rs);
+    const std::span<const EventId> raw_enabled = sys.enabled(b);
+    const PropertyContext ctx{base, b, raw_enabled};
 
     // 1. State violations.
     for (const SafetyProperty* p : properties) {
-      if (auto v = p->check_state(ctx)) {
-        Failure f;
-        f.trace = unwind(base, states, parent, via, id);
-        f.description = *v;
-        if (stats) stats->states_explored = states.size();
-        return f;
-      }
+      if (auto v = p->check_state(ctx)) return finish(fail_at(id, std::move(*v)));
     }
 
     // 2. Chokes at this base state (virtual firings refused by a monitor).
-    if (auto it = chokes_at.find(rs.base.value()); it != chokes_at.end()) {
-      for (const ChokeRecord* c : it->second) {
-        if (sys.blocked(rs, c->event)) continue;  // timing-pruned
-        Failure f;
-        f.trace = unwind(base, states, parent, via, id);
-        f.virtual_event = c->event;
-        f.description = "refusal: output '" + base.label(c->event) +
-                        "' not accepted (containment violation)";
-        if (stats) stats->states_explored = states.size();
-        return f;
-      }
+    for (const ChokeRecord* c :
+         std::ranges::equal_range(chokes_by_state, b.value(), {}, state_of)) {
+      if (sys.blocked(rs, c->event)) continue;  // timing-pruned
+      Failure f = fail_at(id, "refusal: output '" + base.label(c->event) +
+                                  "' not accepted (containment violation)");
+      f.virtual_event = c->event;
+      return finish(std::move(f));
     }
 
     // 3. Firings: event checks, then expansion.
-    for (const Transition& t : base.transitions_from(rs.base)) {
+    for (const Transition& t : base.transitions_from(b)) {
       if (sys.blocked(rs, t.event)) continue;
-      const std::vector<EventId> succ_enabled = base.enabled_events(t.target);
+      const std::span<const EventId> succ_enabled = sys.enabled(t.target);
       for (const SafetyProperty* p : properties) {
         if (auto v = p->check_event(ctx, t.event, t.target, succ_enabled)) {
-          Failure f;
-          f.trace = unwind(base, states, parent, via, id);
+          Failure f = fail_at(id, std::move(*v));
           // The violating firing becomes the last step of the trace.
           TraceStep step;
-          step.state = rs.base;
+          step.state = b;
           step.event = t.event;
-          step.enabled = raw_enabled;
+          step.enabled = to_vector(raw_enabled);
           f.trace.steps.push_back(std::move(step));
           f.trace.final_state = t.target;
-          f.trace.final_enabled = succ_enabled;
-          f.description = *v;
-          if (stats) stats->states_explored = states.size();
-          return f;
+          f.trace.final_enabled = to_vector(succ_enabled);
+          return finish(std::move(f));
         }
       }
-      intern(sys.advance(rs, t.event), id, t.event);
+      sys.advance(rs, t.event, scratch);
+      ++successors;
+      if (store.intern(scratch).inserted) {
+        parent.push_back(id);
+        via.push_back(t.event);
+      }
     }
   }
 
-  if (stats) stats->states_explored = states.size();
-  return std::nullopt;
+  return finish(std::nullopt);
 }
 
 }  // namespace rtv

@@ -1,10 +1,12 @@
 #include "rtv/verify/refinement.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "rtv/base/log.hpp"
 #include "rtv/lazy/refined_system.hpp"
+#include "rtv/obs/metrics.hpp"
 #include "rtv/obs/trace.hpp"
 #include "rtv/verify/failure_search.hpp"
 
@@ -41,8 +43,17 @@ EngineResult refine_explore(const Composition& comp,
   for (std::size_t iter = 0; iter <= request.max_refinements; ++iter) {
     obs::Span span("refine iteration " + std::to_string(iter), "engine");
     FailureSearchStats search;
-    const auto failure = find_failure(refined, comp.chokes, request.properties,
-                                      max_states, &search, &clock);
+    std::optional<Failure> failure;
+    {
+      obs::Span phase("find_failure", "engine");
+      failure = find_failure(refined, comp.chokes, request.properties,
+                             max_states, &search, &clock);
+    }
+    if (obs::metrics_enabled())
+      obs::Registry::global()
+          .counter("rtv_refine_successors_total", "",
+                   "Refined successors computed by the failure search")
+          .add(search.successors);
     result.states_explored = search.states_explored;
     if (search.truncated) {
       const char* reason = search.stop_reason ? search.stop_reason
@@ -57,6 +68,7 @@ EngineResult refine_explore(const Composition& comp,
       break;
     }
 
+    std::optional<obs::Span> phase(std::in_place, "trace_timing", "engine");
     const TraceTimingModel model(comp.ts, failure->trace, failure->virtual_event,
                                  comp.chokes);
     if (model.consistent()) {
@@ -79,6 +91,7 @@ EngineResult refine_explore(const Composition& comp,
       return finish(stop_reason::kRefinementBudget);
     }
 
+    phase.emplace("derive", "engine");
     const auto window = model.find_ban_window();
     if (!window) {
       // Cannot happen: an inconsistent trace always yields a window.
@@ -99,6 +112,14 @@ EngineResult refine_explore(const Composition& comp,
     std::string signature = failure->description;
     for (const TraceStep& st : failure->trace.steps)
       signature += "|" + comp.ts.label(st.event);
+    if (!rec.orderings.empty() && !refined.gaps_in_range()) {
+      // The constraints would be justified by the wave-gap matrix, whose
+      // int32 entries cannot hold these delay bounds.
+      result.message = std::string(stop_reason::kGapRange) +
+                       ": a delay bound exceeds " +
+                       std::to_string(RefinedSystem::kMaxGapCap - 1) + " ticks";
+      return finish(stop_reason::kGapRange);
+    }
     bool progressed = false;
     for (const DerivedOrdering& o : rec.orderings) {
       const EventId before = comp.ts.event_by_label(o.before);

@@ -7,6 +7,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "rtv/base/json.hpp"
 #include "rtv/fuzz/campaign.hpp"
@@ -147,11 +148,14 @@ TEST_F(FuzzCampaign, CaseLimitedCampaignsAreReproducible) {
 
 // Minimized reproducers banked from the first real campaigns: each caught
 // a genuine refinement-engine soundness bug, fixed in the commit that
-// added it here.  All three engines must agree (and replay) forever after.
+// added it here.  The engines compared must agree (and replay) forever
+// after.
 struct BankedFinding {
   const char* what;
   std::uint64_t seed;
   const char* config_json;
+  /// Engines compared; empty = the campaign default (all three).
+  std::vector<std::string> engines = {};
 };
 
 TEST_F(FuzzCampaign, BankedFindingsStayFixed) {
@@ -177,10 +181,21 @@ TEST_F(FuzzCampaign, BankedFindingsStayFixed) {
        R"({"schema":"rtv-fuzz-config","modules":2,"events":4,"max_delay":16,)"
        R"("properties":0,"unbounded_p":0.1,"share_p":0.3,"point_delays":false,)"
        R"("gates":false,"deadlock_check":false,"persistency_check":false})"},
+      {// Wave-gap entries were 16-bit, biased by the cap (117754 here):
+       // bounds of 32767 ticks or more wrapped or aliased "unbounded", and
+       // refine's sliced VIOLATED became VERIFIED unsliced (reported as a
+       // slice-mismatch).  Entries are int32 now (lazy_ts.cpp).  Digitizing
+       // 70000-tick delays is slow, so only refine and zone run.
+       "16-bit wave-gap wrap past 32767 ticks", 6595585087914820ULL,
+       R"({"schema":"rtv-fuzz-config","modules":2,"events":4,"max_delay":70000,)"
+       R"("properties":1,"unbounded_p":0.1,"share_p":0.3,"point_delays":false,)"
+       R"("gates":true,"deadlock_check":false,"persistency_check":false})",
+       {"refine", "zone"}},
   };
-  CampaignOptions opt;
-  opt.minimize = false;
   for (const BankedFinding& f : kFindings) {
+    CampaignOptions opt;
+    opt.minimize = false;
+    if (!f.engines.empty()) opt.engines = f.engines;
     const GeneratorConfig config = GeneratorConfig::from_json(f.config_json);
     const CaseResult res = run_case(f.seed, config, opt);
     EXPECT_FALSE(res.failure.has_value())

@@ -178,11 +178,15 @@ TEST(Integration, WaveMergeKeepsVerdictSound) {
     rs.enable_age_rule(true);
     rs.activate_pair(sys.ts().event_by_label("e1"),
                      sys.ts().event_by_label("e" + std::to_string(k)));
-    RefinedState st = rs.initial();
-    for (int i = 1; i <= k; ++i)
-      st = rs.advance(st, sys.ts().event_by_label("s" + std::to_string(i)));
-    EXPECT_EQ(sys.ts().enabled_events(st.base).size(), static_cast<std::size_t>(k));
-    EXPECT_EQ(st.gaps.size(), RefinedSystem::kMaxWaves * RefinedSystem::kMaxWaves);
+    std::vector<std::uint32_t> st, next;
+    rs.initial(st);
+    for (int i = 1; i <= k; ++i) {
+      rs.advance(st, sys.ts().event_by_label("s" + std::to_string(i)), next);
+      st.swap(next);
+    }
+    EXPECT_EQ(sys.ts().enabled_events(RefinedSystem::base_of(st)).size(),
+              static_cast<std::size_t>(k));
+    EXPECT_EQ(RefinedSystem::num_waves(st), RefinedSystem::kMaxWaves);
   }
   // e2 [22,23] and e3 [23,24] may tie; e2 always beats e4 [24,25]; the
   // decisive firings all happen while e1's wave is merged with e2's.
@@ -198,6 +202,24 @@ TEST(Integration, WaveMergeKeepsVerdictSound) {
     ASSERT_NE(z.verdict, Verdict::kInconclusive) << first << " < " << then;
     EXPECT_EQ(r.verdict, z.verdict) << first << " < " << then << ": " << r.message;
   }
+}
+
+TEST(Integration, RefineRefusesGapsPastInt32) {
+  // x [1,2] always beats y, so "x before y" holds; proving it takes the
+  // ordering x-before-y, justified through the wave-gap matrix — whose
+  // int32 entries cannot hold y's upper bound.  refine must refuse, not
+  // guess; the zone engine still decides.
+  const Module sys = gallery::diamond(
+      "x", DelayInterval::units(1, 2), "y",
+      DelayInterval(DelayInterval::units(5, 6).lo(), RefinedSystem::kMaxGapCap));
+  const Module mon = gallery::order_monitor("x", "y");
+  const InvariantProperty bad("x before y", {{"fail", true}});
+  const EngineRequest req{.modules = {&sys, &mon}, .properties = {&bad}};
+  const EngineResult r = refine.run(req);
+  EXPECT_EQ(r.verdict, Verdict::kInconclusive) << r.message;
+  EXPECT_EQ(r.truncated_reason, stop_reason::kGapRange);
+  EXPECT_EQ(engine_registry().find("zone")->run(req).verdict,
+            Verdict::kVerified);
 }
 
 }  // namespace

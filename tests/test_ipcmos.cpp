@@ -131,15 +131,26 @@ TEST(IpcmosExperiments, Table1HasFiveVerifiedRows) {
   const Suite suite = table1_suite();
   ASSERT_EQ(suite.size(), 5u);
   std::vector<int> counts;
+  std::vector<std::size_t> composed, explored;
   for (const Obligation& ob : suite.obligations()) {
     const EngineResult r = engine_registry().find("refine")->run(ob.request());
     EXPECT_EQ(r.verdict, Verdict::kVerified) << ob.name;
     counts.push_back(refinements(r));
+    composed.push_back(std::get<RefineEngineStats>(r.stats).composed_states);
+    explored.push_back(r.states_explored);
   }
   // Experiment 5 (both ends pulse-driven) needs the most refinements,
   // experiment 1 none — the shape of the paper's Table 1.
   EXPECT_EQ(counts[0], 0);
   EXPECT_GE(counts[4], counts[1]);
+  // Exact numbers: the refinement counts, the composed states (Table 1's
+  // States column) and the refined states of the final, verifying failure
+  // search.  The refined search must explore the same states in the same
+  // order whatever its state encoding.
+  EXPECT_EQ(counts, (std::vector<int>{0, 19, 26, 19, 25}));
+  EXPECT_EQ(composed, (std::vector<std::size_t>{6, 8016, 8920, 6680, 10704}));
+  EXPECT_EQ(explored,
+            (std::vector<std::size_t>{6, 16074, 117366, 16210, 129126}));
 }
 
 TEST(IpcmosPipeline, TwoStageCompositionIsFiniteAndAlive) {

@@ -2,16 +2,33 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "rtv/lazy/state_store.hpp"
 #include "rtv/ts/gallery.hpp"
 
 namespace rtv {
 namespace {
 
+using Words = std::vector<std::uint32_t>;
+
+Words initial_of(const RefinedSystem& rs) {
+  Words s;
+  rs.initial(s);
+  return s;
+}
+
+Words step(const RefinedSystem& rs, const Words& s, EventId e) {
+  Words next;
+  rs.advance(s, e, next);
+  return next;
+}
+
 TEST(RefinedSystem, NoObserversMeansNoBlocking) {
   const Module m = gallery::intro_example();
   RefinedSystem rs(m.ts());
-  const RefinedState s = rs.initial();
-  for (EventId e : m.ts().enabled_events(s.base)) {
+  const Words s = initial_of(rs);
+  for (EventId e : m.ts().enabled_events(RefinedSystem::base_of(s))) {
     EXPECT_FALSE(rs.blocked(s, e));
   }
 }
@@ -29,11 +46,11 @@ TEST(RefinedSystem, FromStartObserverBlocksExactSequence) {
   obs.window = {a, c, d};
   rs.add_observer(std::move(obs));
 
-  RefinedState s = rs.initial();
+  Words s = initial_of(rs);
   EXPECT_FALSE(rs.blocked(s, a));
-  s = rs.advance(s, a);
+  s = step(rs, s, a);
   EXPECT_FALSE(rs.blocked(s, c));
-  s = rs.advance(s, c);
+  s = step(rs, s, c);
   EXPECT_TRUE(rs.blocked(s, d));  // completing the window
 }
 
@@ -52,10 +69,10 @@ TEST(RefinedSystem, DivergedRunIsNotBlocked) {
   rs.add_observer(std::move(obs));
 
   // Firing b first diverges from the window: d stays allowed.
-  RefinedState s = rs.initial();
-  s = rs.advance(s, b);
-  s = rs.advance(s, a);
-  s = rs.advance(s, c);
+  Words s = initial_of(rs);
+  s = step(rs, s, b);
+  s = step(rs, s, a);
+  s = step(rs, s, c);
   EXPECT_FALSE(rs.blocked(s, d));
 }
 
@@ -80,11 +97,11 @@ TEST(RefinedSystem, AnchoredObserverRearmsAtEveryVisit) {
   obs.window = {x};
   rs.add_observer(std::move(obs));
 
-  RefinedState s = rs.initial();
-  s = rs.advance(s, u);
+  Words s = initial_of(rs);
+  s = step(rs, s, u);
   EXPECT_TRUE(rs.blocked(s, x));
-  s = rs.advance(s, back);
-  s = rs.advance(s, u);
+  s = step(rs, s, back);
+  s = step(rs, s, u);
   EXPECT_TRUE(rs.blocked(s, x));  // re-armed on the second visit
 }
 
@@ -117,12 +134,12 @@ TEST(RefinedSystem, PairBlockingNeedsActivationAndJustification) {
 
   RefinedSystem rs(ts);
   rs.enable_age_rule(true);
-  RefinedState s0 = rs.initial();
+  Words s0 = initial_of(rs);
   EXPECT_FALSE(rs.blocked(s0, y));
 
   EXPECT_TRUE(rs.activate_pair(x, y));
   EXPECT_FALSE(rs.activate_pair(x, y));  // already active
-  s0 = rs.initial();                     // re-pull with bookkeeping on
+  s0 = initial_of(rs);                   // re-pull with bookkeeping on
   EXPECT_TRUE(rs.blocked(s0, y));
   EXPECT_FALSE(rs.blocked(s0, x));
 }
@@ -135,7 +152,7 @@ TEST(RefinedSystem, PairNotJustifiedWhenWindowsOverlap) {
   RefinedSystem rs(ts);
   rs.enable_age_rule(true);
   rs.activate_pair(ts.event_by_label("x"), ts.event_by_label("y"));
-  const RefinedState s0 = rs.initial();
+  const Words s0 = initial_of(rs);
   EXPECT_FALSE(rs.blocked(s0, ts.event_by_label("y")));
 }
 
@@ -166,8 +183,8 @@ TEST(RefinedSystem, ChainSlackJustifiesPair) {
   rs.enable_age_rule(true);
   rs.activate_pair(x6, y);
   rs.activate_pair(x8, y);
-  RefinedState s = rs.initial();
-  s = rs.advance(s, u);
+  Words s = initial_of(rs);
+  s = step(rs, s, u);
   EXPECT_TRUE(rs.blocked(s, y));  // justified through x6's deadline
 }
 
@@ -176,10 +193,133 @@ TEST(RefinedSystem, StateHashingConsistent) {
   RefinedSystem rs(m.ts());
   rs.enable_age_rule(true);
   rs.activate_pair(m.ts().event_by_label("b"), m.ts().event_by_label("d"));
-  const RefinedState a = rs.initial();
-  const RefinedState b = rs.initial();
+  const Words a = initial_of(rs);
+  const Words b = initial_of(rs);
   EXPECT_EQ(a, b);
-  EXPECT_EQ(RefinedStateHash{}(a), RefinedStateHash{}(b));
+  EXPECT_EQ(RefinedStateStore::hash(a), RefinedStateStore::hash(b));
+}
+
+
+TEST(RefinedStateStore, TwoPathsToOneStateInternToOneId) {
+  // x then y and y then x reach the same diamond corner with the same
+  // observer and wave bookkeeping: one state, one id.
+  const Module m = gallery::diamond("x", DelayInterval::units(1, 2), "y",
+                                    DelayInterval::units(5, 6));
+  const TransitionSystem& ts = m.ts();
+  const EventId x = ts.event_by_label("x");
+  const EventId y = ts.event_by_label("y");
+  RefinedSystem rs(ts);
+  rs.enable_age_rule(true);
+  rs.activate_pair(y, x);  // never justified here: x is the faster event
+
+  RefinedStateStore store;
+  const Words s0 = initial_of(rs);
+  EXPECT_EQ(store.intern(s0).id, 0u);
+  const Words xy = step(rs, step(rs, s0, x), y);
+  const Words yx = step(rs, step(rs, s0, y), x);
+  EXPECT_EQ(RefinedSystem::base_of(xy), RefinedSystem::base_of(yx));
+  const auto first = store.intern(xy);
+  const auto second = store.intern(yx);
+  EXPECT_TRUE(first.inserted);
+  EXPECT_FALSE(second.inserted);
+  EXPECT_EQ(first.id, second.id);
+  EXPECT_EQ(store.size(), 2u);
+}
+
+TEST(RefinedStateStore, EqualHashesStayDistinct) {
+  RefinedStateStore store;
+  const Words a{1, 2, 3};
+  const Words b{1, 2, 4};
+  const Words c{1, 2};
+  const auto ia = store.intern(a, 42);
+  const auto ib = store.intern(b, 42);
+  const auto ic = store.intern(c, 42);
+  EXPECT_TRUE(ia.inserted && ib.inserted && ic.inserted);
+  EXPECT_NE(ia.id, ib.id);
+  EXPECT_NE(ib.id, ic.id);
+  EXPECT_EQ(store.intern(a, 42).id, ia.id);
+  EXPECT_EQ(store.intern(c, 42).id, ic.id);
+  EXPECT_FALSE(store.intern(b, 42).inserted);
+  EXPECT_EQ(store.size(), 3u);
+}
+
+TEST(RefinedStateStore, IdsAndSpansSurviveGrowth) {
+  // A one-state hint: the table doubles many times and the arena spans
+  // many blocks while the early spans stay where they were.
+  RefinedStateStore store(1);
+  auto words_of = [](std::uint32_t i) {
+    return Words(1 + i % 37, i);  // varying lengths
+  };
+  const Words w0 = words_of(0);
+  store.intern(w0);
+  const PackedState first = store.state(0);
+  constexpr std::uint32_t kStates = 20000;
+  for (std::uint32_t i = 1; i < kStates; ++i) {
+    const auto r = store.intern(words_of(i));
+    ASSERT_TRUE(r.inserted) << i;
+    ASSERT_EQ(r.id, i);
+  }
+  EXPECT_EQ(store.size(), kStates);
+  EXPECT_EQ(store.state(0).data(), first.data());
+  EXPECT_TRUE(std::equal(first.begin(), first.end(), w0.begin(), w0.end()));
+  std::size_t words = 0;
+  for (std::uint32_t i = 0; i < kStates; ++i) {
+    const Words w = words_of(i);
+    const PackedState s = store.state(i);
+    ASSERT_TRUE(std::equal(s.begin(), s.end(), w.begin(), w.end())) << i;
+    const auto again = store.intern(w);
+    ASSERT_FALSE(again.inserted) << i;
+    ASSERT_EQ(again.id, i);
+    words += w.size() + 1;
+  }
+  EXPECT_EQ(store.arena_bytes(), words * sizeof(std::uint32_t));
+}
+
+TEST(RefinedStateStore, GapsPast16BitsRoundTrip) {
+  // x [1, 100000] stays pending while u [40000, 40001] fires and enables
+  // y [60001, 60002]: the new wave sits 40000..40001 ticks after the
+  // first one, bounds that a 16-bit entry biased by the cap (100001)
+  // cannot hold.
+  TransitionSystem ts;
+  const StateId s0 = ts.add_state();
+  const StateId s1 = ts.add_state();
+  const StateId s2 = ts.add_state();
+  const EventId x = ts.add_event("x", DelayInterval(1, 100000));
+  const EventId u = ts.add_event("u", DelayInterval(40000, 40001));
+  const EventId y = ts.add_event("y", DelayInterval(60001, 60002));
+  ts.add_transition(s0, u, s1);
+  ts.add_transition(s0, x, s2);
+  ts.add_transition(s1, x, s2);
+  ts.add_transition(s1, y, s2);
+  ts.set_initial(s0);
+
+  RefinedSystem rs(ts);
+  rs.enable_age_rule(true);
+  ASSERT_TRUE(rs.gaps_in_range());
+  rs.activate_pair(x, y);
+  const Words s = step(rs, initial_of(rs), u);
+
+  RefinedStateStore store;
+  const PackedState stored = store.state(store.intern(s).id);
+  ASSERT_EQ(RefinedSystem::num_waves(stored), 2u);
+  EXPECT_EQ(RefinedSystem::wave_gap(stored, 1, 0), 40001);   // t(y) - t(x)
+  EXPECT_EQ(RefinedSystem::wave_gap(stored, 0, 1), -40000);
+  EXPECT_EQ(RefinedSystem::wave_gap(stored, 0, 0), 0);
+  // y fires at least 40000 + 60001 ticks after x's enabling, past x's
+  // deadline: the pair (x before y) prunes y, never x.
+  EXPECT_TRUE(rs.blocked(stored, y));
+  EXPECT_FALSE(rs.blocked(stored, x));
+}
+
+TEST(RefinedStateStore, DelayBoundsPastInt32AreOutOfRange) {
+  TransitionSystem ts;
+  const StateId s0 = ts.add_state();
+  ts.add_event("big", DelayInterval(1, RefinedSystem::kMaxGapCap));
+  ts.set_initial(s0);
+  RefinedSystem rs(ts);
+  EXPECT_TRUE(rs.gaps_in_range());  // the age rule is off
+  rs.enable_age_rule(true);
+  EXPECT_FALSE(rs.gaps_in_range());
 }
 
 }  // namespace
